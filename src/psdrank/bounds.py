@@ -5,10 +5,13 @@ zero-pattern block splits; upper bounds from min(p, q), the distinct-entry
 count, Hadamard square roots, and explicit family factorizations. The
 square-root rank is found by exhausting sign patterns after fixing a
 spanning forest of the nonzero bipartite graph to plus.
+
+Every bound first drops zero rows and columns and keeps one row (column) of
+each set of positive multiples; neither step changes the psd rank.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from math import comb, isqrt
 
 import numpy as np
@@ -25,6 +28,13 @@ class BoundOptions:
     sqrt_budget: int = 20
     use_sqrt: bool = True
     use_ellipse: bool = True
+
+
+# the lower-bound search evaluates at most this many distinct blocks and
+# lists at most this many zero corners to split them at; past either, the
+# best bound so far comes back marked truncated
+_NODE_BUDGET = 10_000
+_CORNER_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -51,10 +61,8 @@ class SqrtRankResult:
 
 def rank_to_min_size(r: int) -> int:
     """Smallest k with r <= k(k+1)/2; matrices of rank r need psd factors this big."""
-    k = 0
-    while k * (k + 1) // 2 < r:
-        k += 1
-    return k
+    k = (isqrt(8 * r + 1) - 1) // 2
+    return k if k * (k + 1) // 2 >= r else k + 1
 
 
 def _validated(m, tol):
@@ -70,6 +78,29 @@ def _support(mm, tol):
     return mm > tol * linalg.scale_of(mm)
 
 
+def _canonical(mm, tol):
+    """(rows, cols) kept: no zero line, one line per set of positive multiples."""
+    sup = _support(mm, tol)
+    rows = np.flatnonzero(sup.any(axis=1))
+    cols = np.flatnonzero(sup.any(axis=0))
+    if rows.size == 0:
+        return rows, cols
+    block = np.where(sup, mm, 0.0)
+    rows = rows[_distinct_directions(block[np.ix_(rows, cols)], tol)]
+    cols = cols[_distinct_directions(block[np.ix_(rows, cols)].T, tol)]
+    return rows, cols
+
+
+def _distinct_directions(a, tol):
+    """Positions of the first row of each set of rows equal up to a positive factor."""
+    unit = a / np.max(a, axis=1, keepdims=True)
+    kept = []
+    for i in range(unit.shape[0]):
+        if not kept or np.min(np.max(np.abs(unit[kept] - unit[i]), axis=1)) > tol:
+            kept.append(i)
+    return np.array(kept, dtype=int)
+
+
 # ---------------------------------------------------------------------------
 # lower bounds
 
@@ -78,93 +109,222 @@ def psd_rank_lower(m, opts: BoundOptions | None = None):
     """(value, certificate): a proven lower bound on the psd rank.
 
     The certificate records which argument wins: the square-root-of-rank
-    bound, or a recursive block split over the zero pattern.
+    bound on a block, or a split of a block over its zero pattern into
+    parts whose bounds add up. Every certificate names its block by the row
+    and column indices of m it keeps (see check_lower_certificate). The
+    search stops early where no split can gain; past its budget the bound
+    found so far comes back with "truncated": True.
     """
     opts = opts or BoundOptions()
     mm = _validated(m, opts.tol)
-    value, cert = _lower_rec(mm, _support(mm, opts.tol), opts, depth=0)
+    rows, cols = _canonical(mm, opts.tol)
+    if rows.size == 0:
+        return 0, {"kind": "rank-bound", "rank": 0, "value": 0, "rows": [], "cols": []}
+    search = _LowerSearch(mm, opts.tol)
+    value, cert = search.node(_mask(rows), _mask(cols))
+    if search.truncated:
+        cert = {**cert, "truncated": True}
     return value, cert
 
 
-def _lower_rec(mm, support, opts, depth):
-    rows = np.where(support.any(axis=1))[0]
-    cols = np.where(support.any(axis=0))[0]
-    if rows.size == 0 or cols.size == 0:
-        return 0, {"kind": "rank-bound", "rank": 0, "value": 0}
-    sub = mm[np.ix_(rows, cols)]
-    sup = support[np.ix_(rows, cols)]
-    r = linalg.numerical_rank(sub, opts.tol)
-    best = rank_to_min_size(r)
-    cert = {"kind": "rank-bound", "rank": int(r), "value": int(best)}
-
-    comps = _bipartite_components(sup)
-    if len(comps) > 1 and depth < 12:
-        total = 0
-        parts = []
-        for rset, cset in comps:
-            v, c = _lower_rec(sub[np.ix_(rset, cset)], sup[np.ix_(rset, cset)], opts, depth + 1)
-            total += v
-            parts.append(c)
-        if total > best:
-            best, cert = total, {"kind": "block", "split": "components",
-                                 "parts": parts, "value": int(total)}
-
-    if depth < 4:
-        v, c = _best_bipartition(sub, sup, opts, depth)
-        if v > best:
-            best, cert = v, c
-        vt, ct = _best_bipartition(sub.T, sup.T, opts, depth)
-        if vt > best:
-            best, cert = vt, {**ct, "transposed": True}
-    return int(best), cert
+def _mask(indices) -> int:
+    out = 0
+    for i in indices:
+        out |= 1 << int(i)
+    return out
 
 
-def _bipartite_components(sup):
-    """Connected components of the nonzero bipartite graph, as index lists."""
-    p, q = sup.shape
-    parent = list(range(p + q))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in zip(*np.nonzero(sup)):
-        ra, rb = find(int(i)), find(int(p + j))
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict = {}
-    for i in range(p):
-        if sup[i].any():
-            groups.setdefault(find(i), [[], []])[0].append(i)
-    for j in range(q):
-        if sup[:, j].any():
-            groups.setdefault(find(p + j), [[], []])[1].append(j)
-    return [(np.array(g[0], dtype=int), np.array(g[1], dtype=int))
-            for g in groups.values() if g[0] and g[1]]
+def _members(mask: int) -> list:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
-def _best_bipartition(sub, sup, opts, depth):
-    """Scan splits M = [[M1, Q], [0, M2]] induced by a zero-pattern column sort."""
-    p, q = sup.shape
-    order = sorted(range(q), key=lambda j: tuple(sup[:, j]))
-    best, cert = 0, None
-    for cut in range(1, q):
-        cset = np.array(order[:cut])
-        touched = sup[:, cset].any(axis=1)
-        rset = np.where(touched)[0]
-        rrest = np.where(~touched)[0]
-        crest = np.array(order[cut:])
-        if rset.size == 0 or rrest.size == 0:
-            continue
-        v1, c1 = _lower_rec(sub[np.ix_(rset, cset)], sup[np.ix_(rset, cset)], opts, depth + 1)
-        v2, c2 = _lower_rec(sub[np.ix_(rrest, crest)], sup[np.ix_(rrest, crest)], opts, depth + 1)
-        if v1 + v2 > best:
-            best = v1 + v2
-            cert = {"kind": "block", "split": "triangular", "cut": int(cut),
-                    "parts": [c1, c2], "value": int(best)}
-    return best, cert
+class _LowerSearch:
+    """Branch and bound over blocks (row set, column set) of one matrix.
+
+    Sets are bit masks of row and column indices. A block's value depends
+    on the block alone, so each is evaluated once. psd rank(M[R, C]) <=
+    min(|R|, |C|) caps every bound: a block stops at its cap, and splits
+    are tried in order of their parts' summed caps until none can beat the
+    block's best.
+
+    A block of several connected components splits into them. A connected
+    block splits as [[M1, Q], [0, M2]] at each maximal zero corner
+    (R2, C1): C1 is an intersection of the column sets that single rows
+    avoid and R2 holds every row that is zero on C1. Any zero corner lies
+    inside a maximal one whose parts contain its parts, so no other split
+    gives more.
+    """
+
+    def __init__(self, mm, tol):
+        sup = _support(mm, tol)
+        self.mm, self.tol = mm, tol
+        self.row_nbrs = [_mask(np.flatnonzero(row)) for row in sup]
+        self.col_nbrs = [_mask(np.flatnonzero(col)) for col in sup.T]
+        self.nodes_left = _NODE_BUDGET
+        self.corners_left = _CORNER_BUDGET
+        self.truncated = False
+        self.memo = {}
+
+    def _reach(self, mask, nbrs):
+        out = 0
+        for i in _members(mask):
+            out |= nbrs[i]
+        return out
+
+    def node(self, rows, cols):
+        """(value, certificate) of the block, or None once the budget is spent."""
+        # drop the lines that are zero inside the block
+        rows &= self._reach(cols, self.col_nbrs)
+        cols &= self._reach(rows, self.row_nbrs)
+        key = (rows, cols)
+        if key in self.memo:
+            return self.memo[key]
+        if self.nodes_left == 0:
+            self.truncated = True
+            return None
+        self.nodes_left -= 1
+
+        ri, ci = _members(rows), _members(cols)
+        r = linalg.numerical_rank(self.mm[np.ix_(ri, ci)], self.tol)
+        best = rank_to_min_size(r)
+        cert = {"kind": "rank-bound", "rank": int(r), "value": int(best),
+                "rows": ri, "cols": ci}
+        cap = min(len(ri), len(ci))
+        if best < cap:
+            comps = self._components(rows, cols)
+            if len(comps) > 1:
+                split, levels = "components", [[comps]]
+            else:
+                split, levels = "triangular", self._corner_levels(rows, cols)
+            for level in levels:
+                for parts in level:
+                    if sum(_cap(*part) for part in parts) <= best:
+                        break
+                    found = self._split_value(best, parts)
+                    if found is not None:
+                        best, part_certs = found
+                        cert = {"kind": "block", "split": split, "parts": part_certs,
+                                "value": int(best), "rows": ri, "cols": ci}
+                if best >= cap:
+                    break
+        self.memo[key] = (int(best), cert)
+        return self.memo[key]
+
+    def _components(self, rows, cols):
+        comps = []
+        left = rows
+        while left:
+            r = left & -left
+            while True:
+                c = cols & self._reach(r, self.row_nbrs)
+                grown = rows & self._reach(c, self.col_nbrs)
+                if grown == r:
+                    break
+                r = grown
+            comps.append((r, c))
+            left &= ~r
+        return comps
+
+    def _corner_levels(self, rows, cols):
+        """Splits [(R1, C1), (R2, C2)] at the maximal zero corners, in levels.
+
+        Level k holds the corners whose C1 first appears as an intersection
+        of k of the column sets single rows avoid; each level is listed
+        largest caps first and built only when the one before did not reach
+        the block's cap.
+        """
+        avoided = sorted({cols & ~self.row_nbrs[i] for i in _members(rows)} - {0})
+        seen, level = set(avoided), avoided
+        while level:
+            yield self._splits_at(rows, cols, level)
+            grown = []
+            for c1 in level:
+                for a in avoided:
+                    c = c1 & a
+                    if c and c not in seen:
+                        if self.corners_left == 0:
+                            self.truncated = True
+                            return
+                        self.corners_left -= 1
+                        seen.add(c)
+                        grown.append(c)
+            level = grown
+
+    def _splits_at(self, rows, cols, corners):
+        splits = []
+        for c1 in corners:
+            r1 = rows & self._reach(c1, self.col_nbrs)
+            parts = [(r1, c1), (rows & ~r1, cols & ~c1)]
+            splits.append((-sum(_cap(*part) for part in parts), c1, parts))
+        splits.sort(key=lambda t: t[:2])
+        return [parts for _, _, parts in splits]
+
+    def _split_value(self, best, parts):
+        """(sum of part values, part certificates) if the sum beats best."""
+        caps = [_cap(r, c) for r, c in parts]
+        reachable = sum(caps)
+        certs = []
+        for (r, c), cap in zip(parts, caps):
+            if reachable <= best:
+                return None
+            found = self.node(r, c)
+            if found is None:
+                return None
+            reachable += found[0] - cap
+            certs.append(found[1])
+        return (reachable, certs) if reachable > best else None
+
+
+def _cap(rows: int, cols: int) -> int:
+    """min(|R|, |C|): no block of that size has a larger psd rank."""
+    return min(rows.bit_count(), cols.bit_count())
+
+
+def check_lower_certificate(m, cert, tol: float = DEFAULT_TOL) -> bool:
+    """Re-verify a psd_rank_lower certificate from its recorded index sets.
+
+    Leaves must have the recorded rank, and their value may not exceed the
+    size that rank forces. A split's parts must use disjoint rows and
+    columns of their block and be separated by zeros: between every two
+    parts of a component split, in the corner below the first part of a
+    triangular split. Then the block contains a block-triangular
+    submatrix, whose psd rank is at least the sum of its diagonal parts',
+    and the value may not exceed that sum.
+    """
+    mm = _validated(m, tol)
+    zero = ~_support(mm, tol)
+
+    def separated(a, b):
+        return bool(zero[np.ix_(a["rows"], b["cols"])].all())
+
+    def valid(c, rows, cols):
+        if not (set(c["rows"]) <= rows and set(c["cols"]) <= cols):
+            return False
+        if c["kind"] == "rank-bound":
+            rank = linalg.numerical_rank(mm[np.ix_(c["rows"], c["cols"])], tol)
+            return rank == c["rank"] and c["value"] <= rank_to_min_size(rank)
+        if c["kind"] != "block":
+            return False
+        parts = c["parts"]
+        for key in ("rows", "cols"):
+            used = [i for p in parts for i in p[key]]
+            if len(used) != len(set(used)):
+                return False
+        if c["split"] == "components":
+            apart = all(separated(a, b) for a in parts for b in parts if a is not b)
+        elif c["split"] == "triangular" and len(parts) == 2:
+            apart = separated(parts[1], parts[0])
+        else:
+            return False
+        return (apart and c["value"] <= sum(p["value"] for p in parts)
+                and all(valid(p, set(c["rows"]), set(c["cols"])) for p in parts))
+
+    return valid(cert, set(range(mm.shape[0])), set(range(mm.shape[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +332,24 @@ def _best_bipartition(sub, sup, opts, depth):
 
 
 def psd_rank_upper(m, opts: BoundOptions | None = None):
-    """(value, certificate): a constructive upper bound on the psd rank."""
+    """(value, certificate): a constructive upper bound on the psd rank.
+
+    The sign search for the square-root rank runs only when no cheaper
+    candidate already meets rank_to_min_size(rank), which no upper bound
+    can beat.
+    """
     opts = opts or BoundOptions()
     mm = _validated(m, opts.tol)
-    p, q = mm.shape
     r = linalg.numerical_rank(mm, opts.tol)
+    candidates = _cheap_upper_candidates(mm, r, opts)
+    if opts.use_sqrt and min(v for v, _ in candidates) > rank_to_min_size(r):
+        candidates += _sqrt_candidates(mm, opts)
+    value, cert = min(candidates, key=lambda t: t[0])
+    return int(value), cert
+
+
+def _cheap_upper_candidates(mm, r, opts):
+    p, q = mm.shape
     candidates = []
 
     # listed first so ties resolve to the constructive certificate
@@ -199,17 +372,17 @@ def psd_rank_upper(m, opts: BoundOptions | None = None):
         barv = comb(distinct - 1 + r, distinct - 1)
         candidates.append((barv, {"kind": "barvinok", "distinct": int(distinct),
                                   "rank": int(r), "value": int(barv)}))
+    return candidates
 
-    if opts.use_sqrt:
-        try:
-            res = sqrt_rank_exact(mm, budget=opts.sqrt_budget, tol=opts.tol)
-            candidates.append((res.value, {"kind": "sqrt-rank", "value": int(res.value),
-                                           "patterns": res.patterns_searched}))
-        except ResourceError:
-            pass
 
-    value, cert = min(candidates, key=lambda t: t[0])
-    return int(value), cert
+def _sqrt_candidates(mm, opts):
+    """The square-root rank as an upper candidate, if its search fits the budget."""
+    try:
+        res = sqrt_rank_exact(mm, budget=opts.sqrt_budget, tol=opts.tol)
+    except ResourceError:
+        return []
+    return [(res.value, {"kind": "sqrt-rank", "value": int(res.value),
+                         "patterns": res.patterns_searched})]
 
 
 def _derangement_like(mm, tol):
@@ -337,34 +510,47 @@ def _exact_rank_if_integral(witness, tol):
 def psd_rank_interval(m, opts: BoundOptions | None = None) -> RankInterval:
     """Best certified bracket on the psd rank, exact through rank 3 regions.
 
-    Rank <= 2 matrices have psd rank equal to their rank; rank-3 matrices are
-    settled by the ellipse containment program; everything else keeps the
-    tightest lower/upper pair with its certificates.
+    Works on the canonical block of m (no zero lines, no two lines positive
+    multiples of each other). After the lower bound and the cheap upper
+    bounds, rank <= 2 settles the psd rank as the rank. At rank 3, unless
+    the lower bound is already 3, the ellipse containment program settles
+    whether it is 2. The upper and ellipse certificates record the rows and
+    columns of m they were built from. The square-root rank sign search
+    runs only when the interval is still open and the lower bound sits
+    below the best cheap upper bound.
     """
     opts = opts or BoundOptions()
     mm = _validated(m, opts.tol)
-    if not np.any(mm > opts.tol * linalg.scale_of(mm)):
+    rows, cols = _canonical(mm, opts.tol)
+    if rows.size == 0:
         return RankInterval(0, 0, ({"kind": "rank-bound", "rank": 0, "value": 0},))
+    block = mm[np.ix_(rows, cols)]
 
+    kept = {"rows": rows.tolist(), "cols": cols.tolist()}
     lo, lo_cert = psd_rank_lower(mm, opts)
-    up, up_cert = psd_rank_upper(mm, opts)
-    certs = [lo_cert, up_cert]
+    up, up_cert = psd_rank_upper(block, replace(opts, use_sqrt=False))
+    certs = [lo_cert, {**up_cert, **kept}]
 
-    r = linalg.numerical_rank(mm, opts.tol)
+    r = linalg.numerical_rank(block, opts.tol)
     if r <= 2:
         certs.append({"kind": "rank-bound", "argument": "rank <= 2 is exact", "value": int(r)})
         return RankInterval(int(r), int(r), tuple(certs))
 
-    if r == 3 and opts.use_ellipse and mm.shape[0] >= 1:
+    if r == 3 and opts.use_ellipse and lo < 3:
         from . import geometry
 
-        if np.min(mm.sum(axis=1)) > 0:
-            answer, ellipse = geometry.decide_psd_rank_le_2(mm)
-            if answer:
-                certs.append({"kind": "ellipse", "answer": True, "ellipse": ellipse})
-                return RankInterval(2, 2, tuple(certs))
-            certs.append({"kind": "ellipse", "answer": False})
-            lo = max(lo, 3)
+        answer, ellipse = geometry.decide_psd_rank_le_2(block)
+        found = {"kind": "ellipse", "answer": bool(answer), **kept}
+        if answer:
+            certs.append({**found, "ellipse": ellipse})
+            return RankInterval(2, 2, tuple(certs))
+        certs.append(found)
+        lo = max(lo, 3)
+
+    if opts.use_sqrt and lo < up:
+        for value, cert in _sqrt_candidates(block, opts):
+            if value < up:
+                up, certs[1] = value, {**cert, **kept}
 
     up = max(up, lo)
     return RankInterval(int(lo), int(up), tuple(certs))

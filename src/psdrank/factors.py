@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .bounds import rank_to_min_size
 from .errors import DomainError, InputError
 from .linalg import DEFAULT_TOL
 
@@ -430,9 +431,7 @@ def derangement_factorization(n: int) -> PsdFactorization:
     n = int(n)
     if n < 1:
         raise InputError("derangement size must be positive")
-    k = 1
-    while k * (k + 1) // 2 < n:
-        k += 1
+    k = rank_to_min_size(n)
     pairs = [(s, t) for s in range(k) for t in range(s + 1, k)]
 
     rows = []

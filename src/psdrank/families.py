@@ -10,15 +10,8 @@ import math
 
 import numpy as np
 
+from .bounds import rank_to_min_size
 from .errors import InputError
-
-
-def _kmin(n: int) -> int:
-    """Smallest k with n <= k(k+1)/2."""
-    k = 1
-    while k * (k + 1) // 2 < n:
-        k += 1
-    return k
 
 
 def derangement(n: int) -> np.ndarray:
@@ -167,7 +160,7 @@ def known_facts(tag: str, params=()) -> dict:
     params = list(params)
     if tag == "derangement":
         n = int(params[0])
-        return {"rank": n if n != 1 else 0, "psd_rank": _kmin(n) if n > 1 else 0}
+        return {"rank": n if n != 1 else 0, "psd_rank": rank_to_min_size(n) if n > 1 else 0}
     if tag == "identity":
         n = int(params[0])
         return {"rank": n, "psd_rank": n, "sqrt_rank": n, "nonneg_rank": n}
@@ -203,7 +196,7 @@ def known_facts(tag: str, params=()) -> dict:
         return {"rank": 3, "psd_rank": 4}
     if tag == "partition":
         n = len(params)
-        facts = {"rank": n + 1, "psd_rank": (_kmin(n + 1), n + 1)}
+        facts = {"rank": n + 1, "psd_rank": (rank_to_min_size(n + 1), n + 1)}
         if tuple(int(x) for x in params) == (5, 12, 13):
             facts["psd_rank"] = 3
             facts["sqrt_rank"] = n + 1

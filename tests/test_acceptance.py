@@ -177,7 +177,7 @@ def test_08_complete_psd_separation():
 
 
 def test_09_structure_preservation():
-    with Budget(30.0):
+    with Budget(2.0):
         # zero entries force orthogonal factor pairs
         for entry in build_catalog():
             rep = factors.verify(entry.matrix, entry.factorization)
@@ -209,3 +209,20 @@ def test_09_structure_preservation():
             w = rng.random((3, 2))
             fc = factors.compose_right(f1, w)
             assert np.max(np.abs(fc.matrix() - m1 @ w)) <= 1e-9
+
+
+def test_10_lower_bound_search_stays_small():
+    # a block stops at min(p, q) and none is evaluated twice, so the
+    # identity settles at its component split and a sparse 13x13 matrix
+    # needs a few hundred blocks; both certificates re-check
+    with Budget(0.1):
+        value, cert = bounds.psd_rank_lower(np.eye(16))
+    assert value == 16
+    assert bounds.check_lower_certificate(np.eye(16), cert)
+
+    rng = np.random.default_rng(1313)
+    m = np.round(rng.random((13, 13)) * 3.0, 1) * (rng.random((13, 13)) < 0.3)
+    with Budget(0.5):
+        value, cert = bounds.psd_rank_lower(m)
+    assert value == 10 and "truncated" not in cert
+    assert bounds.check_lower_certificate(m, cert)

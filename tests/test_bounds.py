@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from psdrank import bounds, families, linalg
+from psdrank import bounds, families, geometry, linalg
 from psdrank.bounds import BoundOptions, RankInterval
 from psdrank.errors import InputError, ResourceError
 
@@ -206,3 +206,145 @@ def test_sqrt_value_never_below_psd_interval():
         res = bounds.sqrt_rank_exact(m)
         iv = bounds.psd_rank_interval(m)
         assert iv.lower <= res.value
+
+
+def test_rank_to_min_size_matches_search():
+    for r in range(2000):
+        k = 0
+        while k * (k + 1) // 2 < r:
+            k += 1
+        assert bounds.rank_to_min_size(r) == k, r
+
+
+CIRC = families.circulant3(1.0, 1.3, 0.4)
+
+
+@pytest.mark.parametrize("m", [
+    np.vstack([CIRC, np.zeros((1, 3))]),
+    np.hstack([CIRC, np.zeros((3, 1))]),
+    np.vstack([CIRC, CIRC[1]]),
+    np.vstack([CIRC, 3.0 * CIRC[2]]),
+    np.diag([3.0, 1.0, 1.0]) @ CIRC,
+], ids=["zero-row", "zero-column", "duplicate-row", "row-times-3", "row-scaled-by-3"])
+def test_redundant_lines_keep_ellipse_decision(m):
+    iv = bounds.psd_rank_interval(m)
+    assert (iv.lower, iv.upper) == (2, 2)
+    cert = next(c for c in iv.certificates if c["kind"] == "ellipse")
+    assert cert["answer"] is True
+    pair = geometry.polytopes_from_matrix(m[np.ix_(cert["rows"], cert["cols"])])
+    assert geometry.certify(pair, cert["ellipse"]).passed
+
+
+def test_upper_certificate_names_its_block():
+    d = families.derangement(4)
+    m = np.vstack([d, np.zeros((1, 4)), d[0]])
+    iv = bounds.psd_rank_interval(m)
+    up = iv.certificates[1]
+    assert (up["rows"], up["cols"]) == ([0, 1, 2, 3], [0, 1, 2, 3])
+    assert up["kind"] == "factorization-file" and up["value"] == iv.upper == 3
+
+
+def _random_sparse(rng, p, q, density):
+    return np.round(rng.random((p, q)) * 3.0, 1) * (rng.random((p, q)) < density)
+
+
+def _lower_cases():
+    cases = [families.generate(tag, params) for tag, params in [
+        ("square-slack", []), ("hexagon-slack", []), ("partition", [5, 12, 13]),
+        ("partition", [1, 1, 2]), ("prime", [2, 3, 4]), ("cos2", [5]),
+        ("nested-rect-slack", [0.6, 0.8]), ("circulant3", [1.0, 0.1, 0.1]),
+    ]]
+    cases += [families.generate(tag, [n]) for tag in ("identity", "derangement", "euclidean")
+              for n in range(1, 10)]
+    rng = np.random.default_rng(11)
+    cases += [_random_sparse(rng, p, q, density)
+              for p, q in [(5, 4), (8, 8), (10, 7), (13, 13)] for density in (0.2, 0.35, 0.5)
+              for _ in range(3)]
+    cases.append(np.block([[np.eye(2), np.ones((2, 2))], [np.zeros((2, 2)), np.eye(2)]]))
+    return cases
+
+
+def test_lower_certificates_recheck():
+    for m in _lower_cases():
+        value, cert = bounds.psd_rank_lower(m)
+        assert cert["value"] == value
+        assert "truncated" not in cert
+        assert bounds.check_lower_certificate(m, cert), m
+
+
+class TestLowerCertificateCheck:
+    def test_overclaimed_leaf_rejected(self):
+        m = np.eye(4)
+        value, cert = bounds.psd_rank_lower(m)
+        leaf = dict(cert["parts"][0], value=2)
+        assert not bounds.check_lower_certificate(m, {**cert, "parts": [leaf] + cert["parts"][1:]})
+
+    def test_split_across_nonzero_rejected(self):
+        # with the parts swapped, the corner claimed zero is the block of ones
+        m = np.block([[np.eye(2), np.ones((2, 2))], [np.zeros((2, 2)), np.eye(2)]])
+        value, cert = bounds.psd_rank_lower(m)
+        assert value == 4 and cert["split"] == "triangular"
+        swapped = {**cert, "parts": cert["parts"][::-1]}
+        assert not bounds.check_lower_certificate(m, swapped)
+
+    def test_overlapping_parts_rejected(self):
+        m = np.eye(3)
+        _, cert = bounds.psd_rank_lower(m)
+        parts = cert["parts"]
+        shared = dict(parts[1], rows=parts[0]["rows"])
+        tampered = {**cert, "parts": [parts[0], shared, parts[2]]}
+        assert not bounds.check_lower_certificate(m, tampered)
+
+    def test_value_above_parts_rejected(self):
+        m = np.eye(3)
+        _, cert = bounds.psd_rank_lower(m)
+        assert not bounds.check_lower_certificate(m, {**cert, "value": 4})
+
+
+def test_corner_that_no_single_row_avoids():
+    # the zero corner under the top-left derangement is avoided by all four
+    # lower rows together, but each lower row also avoids one column of its own
+    d = families.derangement(4)
+    m = np.block([[d, np.ones((4, 4))], [np.zeros((4, 4)), d]])
+    value, cert = bounds.psd_rank_lower(m)
+    assert value == 6
+    assert bounds.check_lower_certificate(m, cert)
+
+
+@pytest.mark.parametrize("name", ["_NODE_BUDGET", "_CORNER_BUDGET"])
+def test_lower_budget_truncates_to_a_valid_bound(monkeypatch, name):
+    rng = np.random.default_rng(11)
+    m = _random_sparse(rng, 13, 13, 0.35)
+    full, _ = bounds.psd_rank_lower(m)
+    for budget in (1, 2, 5, 20):
+        monkeypatch.setattr(bounds, name, budget)
+        value, cert = bounds.psd_rank_lower(m)
+        assert cert["truncated"] is True
+        assert value <= full
+        assert bounds.check_lower_certificate(m, cert)
+
+
+def _no_sign_search(*args, **kwargs):
+    raise AssertionError("sign search ran")
+
+
+def test_upper_skips_sign_search_at_the_rank_floor(monkeypatch):
+    monkeypatch.setattr(bounds, "sqrt_rank_exact", _no_sign_search)
+    value, cert = bounds.psd_rank_upper(families.derangement(6))
+    assert (value, cert["kind"]) == (3, "factorization-file")
+
+
+def test_interval_skips_sign_search_once_settled(monkeypatch):
+    monkeypatch.setattr(bounds, "sqrt_rank_exact", _no_sign_search)
+    for m in (families.euclidean_distance(6), np.eye(9), families.derangement(6),
+              families.circulant3(1.0, 0.1, 0.1)):
+        iv = bounds.psd_rank_interval(m)
+        assert iv.exact is not None
+
+
+def test_interval_runs_sign_search_while_open():
+    # the ellipse test lifts the lower end to 3; only the signed square
+    # root of rank 3 brings the upper end down from min(p, q) = 4
+    iv = bounds.psd_rank_interval(families.square_slack())
+    assert (iv.lower, iv.upper) == (3, 3)
+    assert iv.certificates[1]["kind"] == "sqrt-rank"

@@ -1,0 +1,60 @@
+"""Invariances of psd rank, checked as properties of the computed bounds.
+
+Permuting, transposing or positively scaling rows and columns, and appending
+zero rows or copies of rows, leave the psd rank unchanged, so they must leave
+the lower bound and the certified interval unchanged as well.
+"""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from psdrank import bounds
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
+
+
+@st.composite
+def matrices(draw, max_side=5):
+    p = draw(st.integers(1, max_side))
+    q = draw(st.integers(1, max_side))
+    entries = draw(st.lists(st.integers(0, 4), min_size=p * q, max_size=p * q))
+    return np.array(entries, dtype=float).reshape(p, q)
+
+
+@st.composite
+def variants(draw, max_side=5):
+    """(matrix, the same matrix after one psd-rank-preserving change)"""
+    m = draw(matrices(max_side))
+    p, q = m.shape
+    kind = draw(st.sampled_from(["permute", "transpose", "scale", "zero", "duplicate"]))
+    if kind == "permute":
+        rows = draw(st.permutations(range(p)))
+        cols = draw(st.permutations(range(q)))
+        return m, m[np.ix_(rows, cols)]
+    if kind == "transpose":
+        return m, m.T
+    if kind == "scale":
+        factor = st.sampled_from([0.25, 0.5, 2.0, 3.0, 7.0])
+        d_rows = draw(st.lists(factor, min_size=p, max_size=p))
+        d_cols = draw(st.lists(factor, min_size=q, max_size=q))
+        return m, np.diag(d_rows) @ m @ np.diag(d_cols)
+    if kind == "zero":
+        row = np.zeros(q)
+    else:
+        row = draw(st.sampled_from([1.0, 2.5])) * m[draw(st.integers(0, p - 1))]
+    return m, np.insert(m, draw(st.integers(0, p)), row, axis=0)
+
+
+@PROPERTY
+@given(variants(max_side=6))
+def test_lower_bound_invariant(pair):
+    m, changed = pair
+    assert bounds.psd_rank_lower(changed)[0] == bounds.psd_rank_lower(m)[0]
+
+
+@PROPERTY
+@given(variants(max_side=4))
+def test_interval_invariant(pair):
+    m, changed = pair
+    a, b = bounds.psd_rank_interval(m), bounds.psd_rank_interval(changed)
+    assert (b.lower, b.upper) == (a.lower, a.upper)
