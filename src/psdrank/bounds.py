@@ -514,10 +514,11 @@ def psd_rank_interval(m, opts: BoundOptions | None = None) -> RankInterval:
     multiples of each other). After the lower bound and the cheap upper
     bounds, rank <= 2 settles the psd rank as the rank. At rank 3, unless
     the lower bound is already 3, the ellipse containment program settles
-    whether it is 2. The upper and ellipse certificates record the rows and
-    columns of m they were built from. The square-root rank sign search
-    runs only when the interval is still open and the lower bound sits
-    below the best cheap upper bound.
+    whether it is 2; an undecided program is recorded with answer None and
+    its reason and leaves the interval to the other bounds. The upper and
+    ellipse certificates record the rows and columns of m they were built
+    from. The square-root rank sign search runs only when the interval is
+    still open and the lower bound sits below the best cheap upper bound.
     """
     opts = opts or BoundOptions()
     mm = _validated(m, opts.tol)
@@ -539,13 +540,18 @@ def psd_rank_interval(m, opts: BoundOptions | None = None) -> RankInterval:
     if r == 3 and opts.use_ellipse and lo < 3:
         from . import geometry
 
-        answer, ellipse = geometry.decide_psd_rank_le_2(block)
-        found = {"kind": "ellipse", "answer": bool(answer), **kept}
-        if answer:
-            certs.append({**found, "ellipse": ellipse})
-            return RankInterval(2, 2, tuple(certs))
-        certs.append(found)
-        lo = max(lo, 3)
+        try:
+            answer, ellipse = geometry.decide_psd_rank_le_2(block)
+        except NumericalFailure as exc:
+            # an undecided program settles nothing; the other bounds stand
+            certs.append({"kind": "ellipse", "answer": None, "reason": str(exc), **kept})
+        else:
+            found = {"kind": "ellipse", "answer": bool(answer), **kept}
+            if answer:
+                certs.append({**found, "ellipse": ellipse})
+                return RankInterval(2, 2, tuple(certs))
+            certs.append(found)
+            lo = max(lo, 3)
 
     if opts.use_sqrt and lo < up:
         for value, cert in _sqrt_candidates(block, opts):

@@ -10,7 +10,7 @@ factorization through a fixed linear section of the 2x2 psd cone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -333,12 +333,7 @@ def decide_psd_rank_le_2(m, params: sdp.SdpParams | None = None):
 
     pair = polytopes_from_matrix(mm)
     problem = ellipse_program(pair)
-    params = params or sdp.SdpParams()
-    params = sdp.SdpParams(
-        gap_tol=params.gap_tol, feas_tol=params.feas_tol, cert_tol=params.cert_tol,
-        inner_tol=params.inner_tol, mu=params.mu, max_newton=params.max_newton,
-        box=params.box, feasibility_point="margin",
-    )
+    params = replace(params or sdp.SdpParams(), feasibility_point="margin")
     sol = sdp.solve(problem, params)
     if sol.status == "feasible":
         return True, _solution_to_ellipse(sol.x, pair.outer.offsets.size)

@@ -8,15 +8,24 @@ always-strictly-feasible max-margin reformulation whose dual supplies a
 separation certificate on the infeasible side. Everything is dense and
 deterministic; intended for block sizes up to ~30 and a few hundred
 variables.
+
+The barrier kernel groups blocks by size and keeps each group's
+coefficients flattened, one row per variable, so a section is
+F0 + (x @ G).reshape(B, s, s): one matmul for every block of the group.
+All 1x1 blocks (sign rows, caps, box bounds) form one diagonal cone with
+a closed-form gradient and Hessian. A line-search trial costs one batched
+Cholesky per cone, whose diagonal gives the log-determinant and whose
+failure marks a point outside the domain.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .errors import InputError, NumericalFailure
+from .errors import DomainError, InputError, NumericalFailure
 
 
 @dataclass(frozen=True)
@@ -43,15 +52,7 @@ class SdpProblem:
         self.n = int(self.n)
         if self.n < 0:
             raise InputError("variable count must be nonnegative")
-        clean = []
-        for blk in self.blocks:
-            mats = [linalg.check_symmetric(np.asarray(f, dtype=float), name="block matrix") for f in blk]
-            if len(mats) != self.n + 1:
-                raise InputError(f"block needs {self.n + 1} coefficient matrices, got {len(mats)}")
-            sizes = {m.shape[0] for m in mats}
-            if len(sizes) != 1:
-                raise InputError("coefficient matrices in a block differ in size")
-            clean.append(np.stack(mats))
+        clean = [_check_block(blk, self.n) for blk in self.blocks]
         if not clean:
             raise InputError("problem has no constraint blocks")
         self.blocks = clean
@@ -71,10 +72,33 @@ class SdpProblem:
 
     def block_values(self, x):
         x = np.asarray(x, dtype=float)
-        return [blk[0] + np.tensordot(x, blk[1:], axes=1) for blk in self.blocks]
+        return [_section(*_flat(blk), x) for blk in self.blocks]
 
     def margins(self, x):
         return np.array([linalg.min_eig(v) for v in self.block_values(x)])
+
+
+def _check_block(blk, n):
+    """(n+1, s, s) symmetric coefficient stack; one vectorized check per block."""
+    mats = [np.asarray(f, dtype=float) for f in blk]
+    if any(m.ndim != 2 for m in mats):
+        raise InputError("block matrix must be 2-dimensional")
+    if len(mats) != n + 1:
+        raise InputError(f"block needs {n + 1} coefficient matrices, got {len(mats)}")
+    if len({m.shape for m in mats}) != 1:
+        raise InputError("coefficient matrices in a block differ in size")
+    stack = np.stack(mats)
+    if not np.all(np.isfinite(stack)):
+        raise InputError("block matrix contains NaN or Inf entries")
+    if stack.shape[1] != stack.shape[2]:
+        raise DomainError(f"block matrix must be square, got shape {stack.shape[1:]}")
+    # the per-matrix tolerance of linalg.check_symmetric
+    trans = stack.transpose(0, 2, 1)
+    asym = np.abs(stack - trans).max(axis=(1, 2), initial=0.0)
+    scale = 1.0 + np.abs(stack).max(axis=(1, 2), initial=0.0)
+    if np.any(asym > 10 * linalg.DEFAULT_TOL * scale):
+        raise DomainError("block matrix is not symmetric/Hermitian within tolerance")
+    return 0.5 * (stack + trans)
 
 
 @dataclass(frozen=True)
@@ -92,43 +116,68 @@ class SdpSolution:
 
 
 # ---------------------------------------------------------------------------
-# barrier core over size-grouped block stacks
+# barrier core over size-grouped, flattened block stacks
+
+
+def _section(f0, g, x):
+    """F0 + sum_i x_i G_i, the G_i flattened into the rows of g; keeps f0's shape."""
+    return f0 + (x @ g).reshape(f0.shape)
+
+
+def _flat(blk):
+    """Coefficient stack (n+1, s, s) as its constant term and (n, s*s) rows."""
+    return blk[0], blk.reshape(len(blk), -1)[1:]
 
 
 class _Cone:
-    """Stacked LMI blocks of one common size: F0 (B,s,s), G (B,n,s,s)."""
+    """Weighted log-det barrier over B stacked s x s blocks.
+
+    f0 is (B, s, s); row i of g (n, B*s*s) holds G_i of every block.
+    """
 
     def __init__(self, f0, g, weights):
-        self.f0 = np.ascontiguousarray(f0)
-        self.g = np.ascontiguousarray(g)
+        self.f0 = f0
+        self.g = g
+        self.g4 = g.reshape((len(g),) + f0.shape)
         self.w = np.asarray(weights, dtype=float)
-        self.s = f0.shape[-1]
 
     def values(self, x):
-        return self.f0 + np.tensordot(x, self.g, axes=(0, 1))
-
-    def try_chol(self, x):
-        try:
-            np.linalg.cholesky(self.values(x))
-            return True
-        except np.linalg.LinAlgError:
-            return False
+        return _section(self.f0, self.g, x)
 
     def barrier(self, x):
-        sign, logdet = np.linalg.slogdet(self.values(x))
-        if np.any(sign <= 0):
+        """-sum_b w_b log det F_b from one batched Cholesky; inf off the domain."""
+        try:
+            chol = np.linalg.cholesky(self.values(x))
+        except np.linalg.LinAlgError:
             return np.inf
-        return -float(self.w @ logdet)
+        val = -2.0 * float(self.w @ np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1))
+        return val if math.isfinite(val) else np.inf
 
     def grad_hess(self, x):
-        f = self.values(x)
-        finv_g = np.linalg.solve(f[:, None, :, :], self.g)
-        traces = np.einsum("bikk->bi", finv_g)
-        grad = -traces.T @ self.w
-        hess = np.einsum("b,biuv,bjvu->ij", self.w, finv_g, finv_g)
+        finv = np.linalg.inv(self.values(x))
+        wfinv = self.w[:, None, None] * finv
+        grad = -(self.g @ wfinv.reshape(-1))
+        # d2/dx_i dx_j = sum_b w_b tr(F^-1 G_i F^-1 G_j) = <G_i, w F^-1 G_j F^-1>
+        hess = self.g @ (finv @ self.g4 @ wfinv).reshape(self.g.shape).T
         return grad, hess
 
+
+class _DiagCone(_Cone):
+    """The 1x1 blocks as scalar rows d = f0 + g^T x > 0: f0 is (B,), g is (n, B)."""
+
+    def barrier(self, x):
+        d = self.values(x)
+        if not np.all(d > 0):
+            return np.inf
+        return -float(self.w @ np.log(d))
+
+    def grad_hess(self, x):
+        gd = self.g / self.values(x)
+        return -(gd @ self.w), (gd * self.w) @ gd.T
+
+
 def _group_blocks(blocks, weights=None):
+    """One cone per block size, sizes ascending; the 1x1 blocks form a _DiagCone."""
     if weights is None:
         weights = [1.0] * len(blocks)
     by_size: dict = {}
@@ -137,21 +186,46 @@ def _group_blocks(blocks, weights=None):
     cones = []
     for s in sorted(by_size):
         group = by_size[s]
-        f0 = np.stack([blk[0] for blk, _ in group])
-        g = np.stack([blk[1:] for blk, _ in group])
-        cones.append(_Cone(f0, g, [w for _, w in group]))
+        # (n+1, B, s, s): variable-major, so each G_i is one contiguous row
+        f0, g = _flat(np.stack([blk for blk, _ in group], axis=1))
+        w = [w for _, w in group]
+        cones.append(_DiagCone(f0.reshape(-1), g, w) if s == 1 else _Cone(f0, g, w))
     return cones
+
+
+def _box_blocks(n, nvar, box):
+    """Scalar blocks box + x_i >= 0 and box - x_i >= 0 on the first n of nvar variables."""
+    blk = np.zeros((2 * n, nvar + 1, 1, 1))
+    blk[:, 0] = box
+    i = np.arange(n)
+    blk[2 * i, i + 1] = 1.0
+    blk[2 * i + 1, i + 1] = -1.0
+    return list(blk)
+
+
+def _potential(cones, c_lin, x):
+    """c_lin.x plus the cone barriers; inf as soon as one cone leaves its domain."""
+    bar = 0.0
+    for cone in cones:
+        b = cone.barrier(x)
+        if b == np.inf:
+            return np.inf
+        bar += b
+    return float(c_lin @ x) + bar
 
 
 def _center(cones, c_lin, x0, eq_a=None, inner_tol=1e-10, max_newton=120):
     """Newton minimization of c_lin.x + sum of weighted block barriers.
 
     x0 must satisfy the equalities; Newton steps stay in their null space.
+    Each trial point costs one factorization per cone, and the accepted
+    trial's potential is the next step's starting potential.
     Returns (x, mult, steps) where mult are the equality multipliers.
     """
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
-    if not all(cone.try_chol(x) for cone in cones):
+    phi0 = _potential(cones, c_lin, x)
+    if phi0 == np.inf:
         raise NumericalFailure("centering started outside the cone domain")
     mult = None
     for step in range(max_newton):
@@ -175,7 +249,7 @@ def _center(cones, c_lin, x0, eq_a=None, inner_tol=1e-10, max_newton=120):
         ridge = 0.0
         for _ in range(4):
             try:
-                sol = np.linalg.solve(kkt + ridge * np.eye(kkt.shape[0]), rhs)
+                sol = np.linalg.solve(kkt + ridge * np.eye(kkt.shape[0]) if ridge else kkt, rhs)
                 break
             except np.linalg.LinAlgError:
                 ridge = max(ridge * 100, 1e-12 * (1 + np.abs(kkt).max()))
@@ -186,7 +260,6 @@ def _center(cones, c_lin, x0, eq_a=None, inner_tol=1e-10, max_newton=120):
         decrement = float(dx @ hess @ dx)
         if decrement <= 2 * inner_tol:
             return x, mult, step
-        phi0 = float(c_lin @ x) + sum(cone.barrier(x) for cone in cones)
         # the predicted decrease is about half the decrement; once it drops
         # below the floating point resolution of the potential no further
         # progress is representable, however large the path weight got
@@ -199,16 +272,16 @@ def _center(cones, c_lin, x0, eq_a=None, inner_tol=1e-10, max_newton=120):
         slope = float(grad @ dx)
         for _ in range(80):
             xn = x + alpha * dx
-            if all(cone.try_chol(xn) for cone in cones):
-                phin = float(c_lin @ xn) + sum(cone.barrier(xn) for cone in cones)
-                if phin <= phi0 + 0.25 * alpha * slope or alpha < 1e-14:
-                    break
+            phin = _potential(cones, c_lin, xn)
+            if phin < np.inf and (phin <= phi0 + 0.25 * alpha * slope or alpha < 1e-14):
+                break
             alpha *= 0.5
         else:
             raise NumericalFailure("line search failed during centering")
         if np.array_equal(xn, x):
             return x, mult, step
         x = xn
+        phi0 = phin
     raise NumericalFailure("Newton iteration cap exceeded during centering")
 
 
@@ -306,22 +379,12 @@ class _MarginResult:
 def _margin_blocks(p: SdpProblem, params: SdpParams):
     """Blocks of the margin problem in variables (x, tau)."""
     n = p.n
-    ext = []
-    for blk in p.blocks:
-        s = blk.shape[-1]
-        g_tau = -np.eye(s)[None]
-        ext.append(np.concatenate([blk, g_tau], axis=0))
+    ext = [np.concatenate([blk, -np.eye(blk.shape[-1])[None]], axis=0) for blk in p.blocks]
     cap = np.zeros((n + 2, 1, 1))
     cap[0, 0, 0] = 1.0
     cap[n + 1, 0, 0] = -1.0
     ext.append(cap)
-    for i in range(n):
-        for sign in (1.0, -1.0):
-            box = np.zeros((n + 2, 1, 1))
-            box[0, 0, 0] = params.box
-            box[i + 1, 0, 0] = sign
-            ext.append(box)
-    return ext
+    return ext + _box_blocks(n, n + 1, params.box)
 
 
 def _max_margin(p: SdpProblem, params: SdpParams, x_eq) -> _MarginResult:
@@ -386,11 +449,9 @@ def _margin_certificate(p: SdpProblem, params: SdpParams, x_full, mult, t):
     tau = x_full[n]
     zs = []
     total_tr = 0.0
-    for blk in p.blocks:
-        s = blk.shape[-1]
-        f = blk[0] + np.tensordot(x, blk[1:], axes=1) - tau * np.eye(s)
+    for f in p.block_values(x):
         try:
-            z = np.linalg.inv(f) / t
+            z = np.linalg.inv(f - tau * np.eye(f.shape[0])) / t
         except np.linalg.LinAlgError:
             return None
         z = 0.5 * (z + z.T)
@@ -399,18 +460,14 @@ def _margin_certificate(p: SdpProblem, params: SdpParams, x_full, mult, t):
     if total_tr <= 0:
         return None
     zs = [z / total_tr for z in zs]
-    res = np.array([
-        sum(float(np.tensordot(z, blk[1 + i], axes=2)) for z, blk in zip(zs, p.blocks))
-        for i in range(n)
-    ])
+    # (<Z, F0>, <Z, F1>, .., <Z, Fn>) summed over the blocks
+    pairing = sum(blk.reshape(n + 1, -1) @ z.reshape(-1) for z, blk in zip(zs, p.blocks))
+    value = float(pairing[0])
+    res = pairing[1:]
     # trace of each dual is <= 1, so residuals are judged against the
     # coefficient magnitudes rather than absolutely
-    gscale = max(
-        (float(np.linalg.norm(blk[1 + i])) for blk in p.blocks for i in range(n)),
-        default=1.0,
-    )
+    gscale = max(float(np.linalg.norm(_flat(blk)[1], axis=1).max(initial=0.0)) for blk in p.blocks)
     y = None
-    value = sum(float(np.tensordot(z, blk[0], axes=2)) for z, blk in zip(zs, p.blocks))
     if p.eq_a is not None:
         y, *_ = np.linalg.lstsq(p.eq_a.T, -res, rcond=None)
         correction = p.eq_a.T @ y
@@ -465,13 +522,7 @@ def _least_norm(p: SdpProblem, params: SdpParams, x_margin):
 
 def _optimize(p: SdpProblem, params: SdpParams, x_margin, steps):
     n = p.n
-    blocks = list(p.blocks)
-    for i in range(n):
-        for sign in (1.0, -1.0):
-            box = np.zeros((n + 1, 1, 1))
-            box[0, 0, 0] = params.box
-            box[i + 1, 0, 0] = sign
-            blocks.append(box)
+    blocks = list(p.blocks) + _box_blocks(n, n, params.box)
     nu = sum(b.shape[-1] for b in blocks)
     cones = _group_blocks(blocks)
 
@@ -493,12 +544,13 @@ def _optimize(p: SdpProblem, params: SdpParams, x_margin, steps):
         return SdpSolution("numerical-failure", x, p.margins(x), gap=gap, newton_steps=total)
 
     duals = []
-    for blk in p.blocks:
-        f = blk[0] + np.tensordot(x, blk[1:], axes=1)
+    for f in p.block_values(x):
         try:
-            duals.append(0.5 * (np.linalg.inv(f) + np.linalg.inv(f).T) / t)
+            finv = np.linalg.inv(f)
         except np.linalg.LinAlgError:
             duals.append(None)
+            continue
+        duals.append(0.5 * (finv + finv.T) / t)
     y = None if mult is None else np.asarray(mult) / t
     margins = p.margins(x)
     return SdpSolution("optimal", x, margins, value=float(p.c @ x), margin=float(margins.min()),
@@ -590,7 +642,7 @@ def min_volume_shape(shapes, slack_tol: float = 1e-8, inner_tol: float = 1e-10,
             break
         t = min(t * mu, t_final)
 
-    p = np.tensordot(x, basis, axes=1)
+    p = _section(np.zeros((d, d)), basis.reshape(nvar, -1), x)
     p = 0.5 * (p + p.T)
     margins = np.array([linalg.min_eig(np.eye(d) - r @ p @ r) for r in roots])
     logdet_gap = n_shapes * d / t

@@ -5,7 +5,7 @@ import pytest
 
 from psdrank import bounds, families, geometry, linalg
 from psdrank.bounds import BoundOptions, RankInterval
-from psdrank.errors import InputError, ResourceError
+from psdrank.errors import InputError, NumericalFailure, ResourceError
 
 
 def brute_force_sqrt_rank(m, tol=1e-9):
@@ -172,6 +172,25 @@ class TestInterval:
         assert iv.lower <= 4 <= iv.upper
         # rank three and not rank-two: the ellipse run settles the lower end
         assert iv.lower >= 3
+
+
+# the ellipse program ends undecided on this rank-3 matrix and its transpose:
+# margins -7.2e-7 and -6.6e-7 with dual values inside cert_tol
+UNDECIDED = np.array([[0, 3, 2], [1, 3, 4], [1, 1, 1], [2, 1, 0]], dtype=float)
+
+
+@pytest.mark.parametrize("m", [UNDECIDED, UNDECIDED.T], ids=["rows", "transposed"])
+def test_undecided_ellipse_keeps_the_other_bounds(m):
+    with pytest.raises(NumericalFailure):
+        geometry.decide_psd_rank_le_2(m)
+    iv = bounds.psd_rank_interval(m)
+    assert (iv.lower, iv.upper, iv.exact) == (2, 3, None)
+    found = [c for c in iv.certificates if c["kind"] == "ellipse"]
+    assert len(found) == 1
+    assert found[0]["answer"] is None
+    assert "undecided" in found[0]["reason"]
+    assert found[0]["rows"] == list(range(m.shape[0]))
+    assert found[0]["cols"] == list(range(m.shape[1]))
 
 
 def test_families_with_known_facts_are_bracketed():

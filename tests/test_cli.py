@@ -54,6 +54,14 @@ class TestBounds:
         assert (doc["lower"], doc["upper"], doc["exact"]) == (2, 2, 2)
         assert any(c.get("kind") == "ellipse" for c in doc["certificates"] if c)
 
+    def test_undecided_ellipse_still_gives_an_interval(self, tmp_path, capsys):
+        m = np.array([[0, 3, 2], [1, 3, 4], [1, 1, 1], [2, 1, 0]], dtype=float)
+        code, doc = run(capsys, ["bounds", write_matrix(tmp_path, m)])
+        assert code == 0
+        assert (doc["lower"], doc["upper"], doc["exact"]) == (2, 3, None)
+        found = [c for c in doc["certificates"] if c and c.get("kind") == "ellipse"]
+        assert found and found[0]["answer"] is None
+
     def test_malformed_input(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{oops")

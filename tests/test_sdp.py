@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from psdrank import families, geometry, sdp
-from psdrank.errors import DomainError, InputError
+from psdrank.errors import DomainError, InputError, NumericalFailure
 from psdrank.sdp import SdpParams, SdpProblem
 
 
@@ -200,6 +200,80 @@ class TestOptimization:
         assert a.newton_steps == b.newton_steps
 
 
+class TestBarrierKernel:
+    """Grouped, flattened cones against a plain per-block reference."""
+
+    SIZES = [3, 1, 2, 1, 3, 2, 1]
+
+    def setup_method(self):
+        rng = np.random.default_rng(23)
+        self.n = 4
+        # the planted point sits inside every block
+        problem, self.x_in = feasible_problem(rng, self.n, self.SIZES)
+        self.blocks = problem.blocks
+        self.weights = rng.uniform(0.5, 3.0, len(self.blocks))
+        self.cones = sdp._group_blocks(self.blocks, self.weights)
+
+    def reference(self, x):
+        """Per-block values, barrier, gradient and Hessian via inv and slogdet."""
+        values, bar = [], 0.0
+        grad, hess = np.zeros(self.n), np.zeros((self.n, self.n))
+        for blk, w in zip(self.blocks, self.weights):
+            f = blk[0] + np.tensordot(x, blk[1:], axes=1)
+            values.append(f)
+            if np.min(np.linalg.eigvalsh(f)) <= 0:
+                bar = np.inf
+                continue
+            _, logdet = np.linalg.slogdet(f)
+            fi_g = [np.linalg.inv(f) @ g for g in blk[1:]]
+            bar -= w * logdet
+            grad -= w * np.array([np.trace(a) for a in fi_g])
+            hess += w * np.array([[np.trace(a @ b) for b in fi_g] for a in fi_g])
+        return values, bar, grad, hess
+
+    def test_cones_group_by_size(self):
+        assert [type(c).__name__ for c in self.cones] == ["_DiagCone", "_Cone", "_Cone"]
+
+    def test_values_barrier_and_derivatives_agree_inside(self):
+        x = self.x_in
+        ref_values, ref_bar, ref_grad, ref_hess = self.reference(x)
+        assert np.isfinite(ref_bar)
+        for cone, s in zip(self.cones, (1, 2, 3)):
+            ref = np.array([v for v in ref_values if v.shape[0] == s])
+            got = cone.values(x).reshape(ref.shape)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        bar = sum(cone.barrier(x) for cone in self.cones)
+        grad = sum(cone.grad_hess(x)[0] for cone in self.cones)
+        hess = sum(cone.grad_hess(x)[1] for cone in self.cones)
+        assert abs(bar - ref_bar) <= 1e-12 * max(1.0, abs(ref_bar))
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+        assert np.max(np.abs(hess - ref_hess)) <= 1e-12 * np.max(np.abs(ref_hess))
+
+    def test_barrier_is_infinite_outside(self):
+        # far enough along +-(1, .., 1) some block of every cone turns indefinite
+        for cone in self.cones:
+            outside = None
+            for scale in (1e1, 1e2, 1e3, 1e4):
+                for sign in (1.0, -1.0):
+                    x = self.x_in + sign * scale * np.ones(self.n)
+                    v = cone.values(x)
+                    v = v.reshape(-1, 1, 1) if v.ndim == 1 else v
+                    if np.min(np.linalg.eigvalsh(v)) < 0:
+                        outside = x
+                        break
+                if outside is not None:
+                    break
+            assert outside is not None
+            assert cone.barrier(outside) == np.inf
+            assert self.reference(outside)[1] == np.inf
+
+    def test_potential_and_center_reject_outside_start(self):
+        x = self.x_in + 1e4 * np.ones(self.n)
+        assert sdp._potential(self.cones, np.zeros(self.n), x) == np.inf
+        with pytest.raises(NumericalFailure):
+            sdp._center(self.cones, np.zeros(self.n), x)
+
+
 class TestEllipseSection:
     def test_boundary_family_is_feasible(self):
         pair = geometry.polytopes_from_matrix(families.circulant3(1.0, 1.0, 4.0))
@@ -210,6 +284,16 @@ class TestEllipseSection:
         pair = geometry.nested_rectangles_pair(0.9, 0.9)
         sol = sdp.solve(geometry.ellipse_program(pair))
         assert sol.status == "infeasible"
+
+    def test_solve_is_bit_identical_on_repeat(self):
+        pair = geometry.polytopes_from_matrix(families.circulant3(1.0, 1.3, 0.4))
+        program = geometry.ellipse_program(pair)
+        params = SdpParams(feasibility_point="margin")
+        a = sdp.solve(program, params)
+        b = sdp.solve(program, params)
+        assert a.status == b.status == "feasible"
+        assert np.array_equal(a.x, b.x)
+        assert a.newton_steps == b.newton_steps
 
 
 class TestMinVolumeShape:
