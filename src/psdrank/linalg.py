@@ -115,12 +115,6 @@ def psd_roots(m, tol: float = DEFAULT_TOL) -> PsdRoots:
     return PsdRoots(build(sqrt_w), build(inv_sqrt_w), build(inv_w), int(keep.sum()))
 
 
-def psd_sqrt_and_pinv(m, tol: float = DEFAULT_TOL):
-    """(S^(1/2), S^(-1/2), S^+) of a psd matrix, eigenvalue cutoff as in psd_roots."""
-    r = psd_roots(m, tol)
-    return r.sqrt, r.inv_sqrt, r.pinv
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product with the row-major pairing (i,s),(j,t) -> a[i,j] b[s,t]."""
     return np.kron(as_matrix(a, "a"), as_matrix(b, "b"))

@@ -6,6 +6,7 @@ table; the reverse direction reads a factorization back out of any protocol.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import log2
 
@@ -73,13 +74,15 @@ class CorrelationProtocol:
         return log2(self.k)
 
     def outcome_matrix(self) -> np.ndarray:
-        """Joint outcome probabilities p(i, j) as a matrix."""
-        p, q = len(self.alice), len(self.bob)
-        out = np.empty((p, q))
-        for i, f in enumerate(self.alice.elements):
-            for j, g in enumerate(self.bob.elements):
-                out[i, j] = float(np.trace(np.kron(f, g) @ self.rho).real)
-        return out
+        """Joint outcome probabilities p(a, b) = trace((F_a (x) G_b) rho) as a matrix."""
+        k = self.k
+        f = np.array(self.alice.elements).reshape(-1, k * k)
+        g = np.array(self.bob.elements).reshape(-1, k * k)
+        # p(a, b) = sum F_a[i, j] G_b[m, l] rho[(j, l), (i, m)], the einsum
+        # "aij,bml,jlim->ab"; contracting G with rho first costs q k^4 + p q k^2
+        # multiplications where the three-way einsum costs p q k^4
+        r = self.rho.reshape(k, k, k, k).transpose(3, 1, 2, 0).reshape(k * k, k * k)
+        return (f @ (g @ r).T).real
 
 
 def to_protocol(f: PsdFactorization, m, tol: float = DEFAULT_TOL) -> CorrelationProtocol:
@@ -226,22 +229,27 @@ def verify_protocol(m, pr: CorrelationProtocol, tol: float = 1e-7) -> ProtocolRe
 
 
 def sample(pr: CorrelationProtocol, count: int, seed: int | None = None) -> np.ndarray:
-    """Draw outcome pairs; returns a p x q table of counts.
+    """Run the protocol count times; returns the p x q table of outcome counts.
 
-    The same seed always yields the same table: a single uniform stream is
-    pushed through the inverse cdf of the flattened outcome distribution.
+    The table is one multinomial draw over the cells of the outcome matrix, so
+    it has the law of count independent outcome pairs while time and memory
+    grow with the number of cells, not with count. Probabilities within
+    rounding error of zero (at most k^4 machine epsilons) are zero, and a cell
+    of probability zero is never drawn. The same seed always yields the same
+    table.
     """
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise InputError(f"count must be an integer, got {count!r}") from None
     if count < 0:
         raise InputError("count must be nonnegative")
     probs = pr.outcome_matrix().ravel()
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
+    support = np.flatnonzero(probs > pr.k ** 4 * np.finfo(float).eps)
+    total = probs[support].sum()
     if total <= 0:
         raise DomainError("protocol has no outcome mass to sample")
-    probs = probs / total
     rng = np.random.default_rng(seed)
-    edges = np.cumsum(probs)
-    edges[-1] = 1.0
-    draws = np.searchsorted(edges, rng.random(count), side="right")
-    flat = np.bincount(draws, minlength=probs.size)
+    flat = np.zeros(probs.size, dtype=np.int64)
+    flat[support] = rng.multinomial(count, probs[support] / total)
     return flat.reshape(len(pr.alice), len(pr.bob))

@@ -135,7 +135,7 @@ def test_06_rescaling_contracts():
 
 
 def test_07_quantum_protocols_round_trip_and_sample():
-    with Budget(60.0):
+    with Budget(1.0):
         for n in (3, 6):
             m = families.derangement(n)
             m = m / m.sum()

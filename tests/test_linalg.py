@@ -67,33 +67,33 @@ class TestVecm:
             assert abs(direct - via) <= 1e-12 * max(1.0, abs(direct))
 
 
-class TestPsdSqrtAndPinv:
+class TestPsdRoots:
     def test_identity(self):
-        s, si, sp = linalg.psd_sqrt_and_pinv(np.eye(2))
-        for out in (s, si, sp):
+        r = linalg.psd_roots(np.eye(2))
+        for out in (r.sqrt, r.inv_sqrt, r.pinv):
             assert np.allclose(out, np.eye(2))
 
     def test_diagonal(self):
-        s, si, sp = linalg.psd_sqrt_and_pinv(np.diag([4.0, 9.0]))
-        assert np.allclose(s, np.diag([2.0, 3.0]))
-        assert np.allclose(si, np.diag([0.5, 1.0 / 3.0]))
-        assert np.allclose(sp, np.diag([0.25, 1.0 / 9.0]))
+        r = linalg.psd_roots(np.diag([4.0, 9.0]))
+        assert np.allclose(r.sqrt, np.diag([2.0, 3.0]))
+        assert np.allclose(r.inv_sqrt, np.diag([0.5, 1.0 / 3.0]))
+        assert np.allclose(r.pinv, np.diag([0.25, 1.0 / 9.0]))
 
     def test_rank_one_square_reproduces_input(self):
         m = np.ones((2, 2))
-        s, _, _ = linalg.psd_sqrt_and_pinv(m)
+        s = linalg.psd_roots(m).sqrt
         assert np.max(np.abs(s @ s - m)) <= 1e-12
 
     def test_rank_one_half_inverse_acts_on_range(self):
         m = np.ones((2, 2))
-        _, si, _ = linalg.psd_sqrt_and_pinv(m)
+        si = linalg.psd_roots(m).inv_sqrt
         # si * m * si is the projector onto the range of m
         proj = si @ m @ si
         assert np.allclose(proj, m / 2.0)
 
     def test_rejects_indefinite(self):
         with pytest.raises(DomainError):
-            linalg.psd_sqrt_and_pinv(np.array([[0.0, 1.0], [1.0, 0.0]]))
+            linalg.psd_roots(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 class TestKron:

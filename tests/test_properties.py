@@ -2,13 +2,18 @@
 
 Permuting, transposing or positively scaling rows and columns, and appending
 zero rows or copies of rows, leave the psd rank unchanged, so they must leave
-the lower bound and the certified interval unchanged as well.
+the lower bound and the certified interval unchanged as well. Direct sums and
+Kronecker products of nonzero matrices have psd rank at least that of each
+part and at most the sum (product) of the parts' ranks, and the block-diagonal
+and Kronecker factorizations built from the parts' factors verify.
 """
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psdrank import bounds
+from psdrank import bounds, factors
+
+from conftest import random_factorization
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -58,3 +63,46 @@ def test_interval_invariant(pair):
     m, changed = pair
     a, b = bounds.psd_rank_interval(m), bounds.psd_rank_interval(changed)
     assert (b.lower, b.upper) == (a.lower, a.upper)
+
+
+def block_diag(m, n):
+    out = np.zeros((m.shape[0] + n.shape[0], m.shape[1] + n.shape[1]))
+    out[:m.shape[0], :m.shape[1]] = m
+    out[m.shape[0]:, m.shape[1]:] = n
+    return out
+
+
+nonzero_parts = matrices(max_side=3).filter(np.any)
+
+
+@PROPERTY
+@given(nonzero_parts, nonzero_parts)
+def test_direct_sum_interval_brackets_parts(m, n):
+    a, b = bounds.psd_rank_interval(m), bounds.psd_rank_interval(n)
+    lower = bounds.psd_rank_interval(block_diag(m, n)).lower
+    assert max(a.lower, b.lower) <= lower <= a.upper + b.upper
+
+
+@PROPERTY
+@given(nonzero_parts, nonzero_parts)
+def test_kron_lower_bound_brackets_parts(m, n):
+    lower = bounds.psd_rank_lower(np.kron(m, n))[0]
+    assert lower >= max(bounds.psd_rank_lower(m)[0], bounds.psd_rank_lower(n)[0])
+    assert lower <= bounds.psd_rank_interval(m).upper * bounds.psd_rank_interval(n).upper
+
+
+shapes = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+
+
+@PROPERTY
+@given(shapes, shapes, st.integers(0, 2 ** 32 - 1))
+def test_direct_sum_and_kron_factorizations_verify(size_f, size_g, seed):
+    rng = np.random.default_rng(seed)
+    m, f = random_factorization(rng, *size_f)
+    n, g = random_factorization(rng, *size_g)
+    total = factors.direct_sum(f, g)
+    assert total.k == f.k + g.k
+    assert factors.verify(block_diag(m, n), total).passed
+    product = factors.kron_factorization(f, g)
+    assert product.k == f.k * g.k
+    assert factors.verify(np.kron(m, n), product).passed

@@ -1,9 +1,10 @@
+import time
 from math import log2
 
 import numpy as np
 import pytest
 
-from psdrank import factors, quantum
+from psdrank import factors, families, linalg, quantum
 from psdrank.errors import DomainError, InputError
 from psdrank.quantum import CorrelationProtocol, Povm
 
@@ -146,6 +147,61 @@ class TestFromProtocol:
         assert factors.verify(pr.outcome_matrix(), g).passed
 
 
+def derangement_protocol(n):
+    m = families.derangement(n)
+    f = factors.scale_rows(factors.derangement_factorization(n), np.full(n, 1.0 / m.sum()))
+    return quantum.to_protocol(f, m / m.sum())
+
+
+def reference_outcome_matrix(pr):
+    """The per-entry trace((F_a (x) G_b) rho) loop that outcome_matrix replaces."""
+    out = np.empty((len(pr.alice), len(pr.bob)))
+    for a, f in enumerate(pr.alice.elements):
+        for b, g in enumerate(pr.bob.elements):
+            out[a, b] = np.trace(np.kron(f, g) @ pr.rho).real
+    return out
+
+
+def random_povm(rng, k, n, dtype=float):
+    """n random psd elements conjugated by the inverse root of their sum."""
+    elems = []
+    for _ in range(n):
+        g = rng.standard_normal((k, k))
+        if dtype is complex:
+            g = g + 1j * rng.standard_normal((k, k))
+        elems.append(g @ g.conj().T)
+    inv = linalg.psd_roots(sum(elems)).inv_sqrt
+    return Povm([linalg.sym(inv @ e @ inv) for e in elems])
+
+
+def random_state(rng, k, dtype=float):
+    w = rng.standard_normal((k * k, 3))
+    if dtype is complex:
+        w = w + 1j * rng.standard_normal((k * k, 3))
+    rho = w @ w.conj().T
+    return rho / np.trace(rho).real
+
+
+class TestOutcomeMatrix:
+    def test_derangement6_matches_reference(self):
+        pr = derangement_protocol(6)
+        out = pr.outcome_matrix()
+        assert out.shape == (6, 6)
+        assert np.max(np.abs(out - reference_outcome_matrix(pr))) <= 1e-12
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_random_protocol_matches_reference(self, dtype):
+        rng = np.random.default_rng(303)
+        k = 3
+        pr = CorrelationProtocol(k, random_povm(rng, k, 4, dtype), random_povm(rng, k, 5, dtype),
+                                 random_state(rng, k, dtype))
+        assert np.iscomplexobj(pr.rho) == (dtype is complex)
+        out = pr.outcome_matrix()
+        assert out.shape == (4, 5) and out.dtype == np.float64
+        assert np.max(np.abs(out - reference_outcome_matrix(pr))) <= 1e-12
+        assert out.sum() == pytest.approx(1.0, abs=1e-12)
+
+
 class TestVerifyProtocol:
     def test_detects_wrong_table(self, catalog):
         entry = next(e for e in catalog if e.name == "derangement3")
@@ -218,6 +274,31 @@ class TestSample:
         pr = quantum.to_protocol(f, m)
         with pytest.raises(InputError):
             quantum.sample(pr, -1)
+
+    @pytest.mark.parametrize("count", [2.5, "5"])
+    def test_non_integer_count_rejected(self, catalog, count):
+        entry = next(e for e in catalog if e.name == "derangement3")
+        m, f = normalized(entry)
+        pr = quantum.to_protocol(f, m)
+        with pytest.raises(InputError, match="integer"):
+            quantum.sample(pr, count)
+
+    def test_zero_count_gives_empty_table(self, catalog):
+        entry = next(e for e in catalog if e.name == "derangement3")
+        m, f = normalized(entry)
+        table = quantum.sample(quantum.to_protocol(f, m), 0, seed=3)
+        assert table.shape == (3, 3) and not table.any()
+
+    # derangement(4)'s diagonal comes out of outcome_matrix as rounding noise up
+    # to 8e-18, which 10^18 draws would hit without the rounding floor
+    @pytest.mark.parametrize("n, count", [(3, 10 ** 12), (4, 10 ** 18)])
+    def test_huge_count_costs_no_more_than_the_cells(self, n, count):
+        pr = derangement_protocol(n)
+        start = time.perf_counter()
+        table = quantum.sample(pr, count, seed=1)
+        assert time.perf_counter() - start < 1.0
+        assert int(table.sum()) == count
+        assert not np.diag(table).any()
 
 
 class TestStateValidation:
