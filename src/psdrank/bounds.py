@@ -65,15 +65,6 @@ def rank_to_min_size(r: int) -> int:
     return k if k * (k + 1) // 2 >= r else k + 1
 
 
-def _validated(m, tol):
-    mm = linalg.as_matrix(m)
-    if np.iscomplexobj(mm):
-        raise InputError("matrix must be real")
-    if np.min(mm, initial=0.0) < -tol * linalg.scale_of(mm):
-        raise InputError("matrix must be nonnegative")
-    return np.clip(mm, 0.0, None)
-
-
 def _support(mm, tol):
     return mm > tol * linalg.scale_of(mm)
 
@@ -116,7 +107,7 @@ def psd_rank_lower(m, opts: BoundOptions | None = None):
     found so far comes back with "truncated": True.
     """
     opts = opts or BoundOptions()
-    mm = _validated(m, opts.tol)
+    mm = linalg.as_nonnegative(m, opts.tol)
     rows, cols = _canonical(mm, opts.tol)
     if rows.size == 0:
         return 0, {"kind": "rank-bound", "rank": 0, "value": 0, "rows": [], "cols": []}
@@ -296,7 +287,7 @@ def check_lower_certificate(m, cert, tol: float = DEFAULT_TOL) -> bool:
     submatrix, whose psd rank is at least the sum of its diagonal parts',
     and the value may not exceed that sum.
     """
-    mm = _validated(m, tol)
+    mm = linalg.as_nonnegative(m, tol)
     zero = ~_support(mm, tol)
 
     def separated(a, b):
@@ -339,7 +330,7 @@ def psd_rank_upper(m, opts: BoundOptions | None = None):
     can beat.
     """
     opts = opts or BoundOptions()
-    mm = _validated(m, opts.tol)
+    mm = linalg.as_nonnegative(m, opts.tol)
     r = linalg.numerical_rank(mm, opts.tol)
     candidates = _cheap_upper_candidates(mm, r, opts)
     if opts.use_sqrt and min(v for v, _ in candidates) > rank_to_min_size(r):
@@ -413,7 +404,7 @@ def sqrt_rank_exact(m, budget: int = 20, tol: float = DEFAULT_TOL) -> SqrtRankRe
     recomputed in exact integer arithmetic when every entry is a perfect
     square.
     """
-    mm = _validated(m, tol)
+    mm = linalg.as_nonnegative(m, tol)
     p, q = mm.shape
     support = _support(mm, tol)
     base = np.where(support, np.sqrt(np.clip(mm, 0.0, None)), 0.0)
@@ -521,7 +512,7 @@ def psd_rank_interval(m, opts: BoundOptions | None = None) -> RankInterval:
     still open and the lower bound sits below the best cheap upper bound.
     """
     opts = opts or BoundOptions()
-    mm = _validated(m, opts.tol)
+    mm = linalg.as_nonnegative(m, opts.tol)
     rows, cols = _canonical(mm, opts.tol)
     if rows.size == 0:
         return RankInterval(0, 0, ({"kind": "rank-bound", "rank": 0, "value": 0},))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, cpsd, factors, families, formats, geometry, quantum, sdp
-from .errors import DomainError, InputError, NumericalFailure, PsdRankError, ResourceError
+from .errors import InputError, NumericalFailure, PsdRankError
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -54,15 +55,22 @@ class RunConfig:
         if getattr(args, "sqrt_budget", None) is not None:
             self.sqrt_budget = _positive_int(args.sqrt_budget, "--sqrt-budget")
         if getattr(args, "seed", None) is not None:
-            self.seed = int(args.seed)
+            self.seed = _positive_int(args.seed, "--seed", allow_zero=True)
         return self
 
 
-def _positive_float(text, name) -> float:
+def _finite_float(text, name) -> float:
     try:
         v = float(text)
     except ValueError:
         raise InputError(f"{name} must be a number, got {text!r}")
+    if not math.isfinite(v):
+        raise InputError(f"{name} must be finite, got {text!r}")
+    return v
+
+
+def _positive_float(text, name) -> float:
+    v = _finite_float(text, name)
     if not v > 0:
         raise InputError(f"{name} must be positive")
     return v
@@ -91,7 +99,7 @@ def _sdp_params(cfg: RunConfig) -> sdp.SdpParams:
 
 
 def _cmd_gen(args, cfg) -> int:
-    m = families.generate(args.family, [float(p) for p in args.params])
+    m = families.generate(args.family, [_finite_float(p, "parameter") for p in args.params])
     doc = formats.encode_matrix(m)
     if args.output:
         formats.dump_json(doc, args.output)
@@ -256,6 +264,8 @@ def _region_rows_nested(grid: int, cfg):
 
 def _cmd_region(args, cfg) -> int:
     grid = args.grid
+    if grid < 1:
+        raise InputError(f"--grid must be at least 1, got {grid}")
     rows = _region_rows_circulant(grid, cfg) if args.family == "circulant" \
         else _region_rows_nested(grid, cfg)
     lines = ["b,c,decision"]
@@ -400,9 +410,6 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (InputError, DomainError, ResourceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except PsdRankError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

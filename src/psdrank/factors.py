@@ -175,22 +175,12 @@ def direct_sum(f: PsdFactorization, g: PsdFactorization) -> PsdFactorization:
     if f.k == 0 and f.shape == (0, 0):
         return g
     field = _require_same_field(f, g)
-    kf, kg = f.k, g.k
-    k = kf + kg
-
-    def pad_left(a):
-        out = np.zeros((k, k), dtype=a.dtype)
-        out[:kf, :kf] = a
-        return out
-
-    def pad_right(b):
-        out = np.zeros((k, k), dtype=b.dtype)
-        out[kf:, kf:] = b
-        return out
-
-    rows = [pad_left(a) for a in f.row_factors] + [pad_right(a) for a in g.row_factors]
-    cols = [pad_left(b) for b in f.col_factors] + [pad_right(b) for b in g.col_factors]
-    if k == 0:
+    zf, zg = np.zeros((f.k, f.k)), np.zeros((g.k, g.k))
+    rows = ([linalg.block_diag(a, zg) for a in f.row_factors]
+            + [linalg.block_diag(zf, a) for a in g.row_factors])
+    cols = ([linalg.block_diag(b, zg) for b in f.col_factors]
+            + [linalg.block_diag(zf, b) for b in g.col_factors])
+    if f.k + g.k == 0:
         return PsdFactorization(field, tuple(rows), tuple(cols))
     return make_factorization(rows, cols, field)
 
@@ -200,17 +190,8 @@ def add(f: PsdFactorization, g: PsdFactorization) -> PsdFactorization:
     if f.shape != g.shape:
         raise InputError(f"shapes differ: {f.shape} vs {g.shape}")
     field = _require_same_field(f, g)
-    kf, kg = f.k, g.k
-    k = kf + kg
-
-    def stack(a, b):
-        out = np.zeros((k, k), dtype=complex if field == "hermitian" else float)
-        out[:kf, :kf] = a
-        out[kf:, kf:] = b
-        return out
-
-    rows = [stack(a, b) for a, b in zip(f.row_factors, g.row_factors)]
-    cols = [stack(a, b) for a, b in zip(f.col_factors, g.col_factors)]
+    rows = [linalg.block_diag(a, b) for a, b in zip(f.row_factors, g.row_factors)]
+    cols = [linalg.block_diag(a, b) for a, b in zip(f.col_factors, g.col_factors)]
     return make_factorization(rows, cols, field)
 
 
@@ -272,10 +253,8 @@ def rescale_trace(f: PsdFactorization, m=None, tol: float = DEFAULT_TOL) -> PsdF
             raise InputError("matrix shape does not match the factorization")
         col_sums = np.sum(mm.real, axis=0)
         m_scale = linalg.scale_of(mm)
-    f, restore = _compress_to_common_span(f, tol, rows_only=True)
+    f, restore = compress_to_common_span(f, tol, rows_only=True)
     k = f.k
-    if k == 0 or not any(np.any(a) for a in f.row_factors):
-        raise DomainError("row factors are all zero; nothing to normalize")
     s = sum(f.row_factors)
     roots = linalg.psd_roots(s, tol)
     if roots.rank < k:
@@ -314,65 +293,53 @@ def rescale_john(f: PsdFactorization, m=None, tol: float = DEFAULT_TOL) -> PsdFa
         max_m = float(np.max(f.matrix(), initial=0.0))
     if max_m <= tol:
         raise DomainError("matrix is numerically zero; eigenvalue bound is unattainable")
-    f, restore = _compress_to_common_span(f, tol)
-    d = f.k
-    if d == 0:
-        raise DomainError("all factors are zero")
+    f, restore = compress_to_common_span(f, tol)
 
     from .sdp import min_volume_shape
 
     shape = min_volume_shape([np.asarray(a, dtype=float) for a in f.row_factors])
-    p_half, p_inv_half = _sym_sqrt_pair(shape.p)
-    c = d ** 0.25 * max_m ** 0.25
-    left = c * p_half
-    left_inv = p_inv_half / c
+    # P is positive definite and scales like 1 / max entry of the factors,
+    # so no eigenvalue cutoff applies to it
+    roots = linalg.psd_roots(shape.p, tol=0.0)
+    c = f.k ** 0.25 * max_m ** 0.25
+    left = c * roots.sqrt
+    left_inv = roots.inv_sqrt / c
     rows = [linalg.sym(left @ a @ left.T) for a in f.row_factors]
     cols = [linalg.sym(left_inv.T @ b @ left_inv) for b in f.col_factors]
     return restore(PsdFactorization("real", tuple(rows), tuple(cols)))
 
 
-def _sym_sqrt_pair(p: np.ndarray):
-    w, v = np.linalg.eigh(linalg.sym(p))
-    w = np.clip(w, 1e-300, None)
-    return linalg.sym((v * np.sqrt(w)) @ v.T), linalg.sym((v / np.sqrt(w)) @ v.T)
+def compress_to_common_span(f: PsdFactorization, tol: float, rows_only: bool = False):
+    """Restrict f to the common range of its factor sums; also return the map back.
 
-
-def _compress_to_common_span(f: PsdFactorization, tol: float, rows_only: bool = False):
-    """Project both factor lists onto the common range and return an inverse embed."""
-    k = f.k
-    if k == 0:
-        return f, lambda g: g
-
-    def range_basis(s):
-        w, v = np.linalg.eigh(linalg.sym(s))
+    The row sum is compressed first, then, unless rows_only, the column sum
+    of the restricted factors. A range keeps the eigenvectors of the sum
+    above the psd cutoff tol * (1 + max |entry|); an empty range raises
+    DomainError, since every factor on that side then vanishes.
+    """
+    rows, cols, k = f.row_factors, f.col_factors, f.k
+    span = None
+    for side in (0,) if rows_only else (0, 1):
+        s = linalg.sym(sum((rows, cols)[side], np.zeros((k, k))))
+        w, v = np.linalg.eigh(s)
         keep = w > tol * linalg.scale_of(s)
-        return v[:, keep]
-
-    wa = range_basis(sum(f.row_factors))
-    if wa.shape[1] == k and rows_only:
-        return f, lambda g: g
-    rows = [wa.conj().T @ a @ wa for a in f.row_factors]
-    cols = [wa.conj().T @ b @ wa for b in f.col_factors]
-    if not rows_only and rows:
-        wb = range_basis(sum(np.asarray(b) for b in cols))
-        if wb.shape[1] < wa.shape[1]:
-            rows = [wb.conj().T @ a @ wb for a in rows]
-            cols = [wb.conj().T @ b @ wb for b in cols]
-            wa = wa @ wb
-    if wa.shape[1] == k:
+        if not keep.any():
+            raise DomainError("all factors on one side vanish")
+        if keep.all():
+            continue
+        basis, k = v[:, keep], int(keep.sum())
+        rows = tuple(linalg.sym(basis.conj().T @ a @ basis) for a in rows)
+        cols = tuple(linalg.sym(basis.conj().T @ b @ basis) for b in cols)
+        span = basis if span is None else span @ basis
+    if span is None:
         return f, lambda g: g
 
     def restore(g: PsdFactorization) -> PsdFactorization:
-        back_rows = [linalg.sym(wa @ a @ wa.conj().T) for a in g.row_factors]
-        back_cols = [linalg.sym(wa @ b @ wa.conj().T) for b in g.col_factors]
-        return PsdFactorization(g.field, tuple(back_rows), tuple(back_cols))
+        def back(mats):
+            return tuple(linalg.sym(span @ a @ span.conj().T) for a in mats)
+        return PsdFactorization(g.field, back(g.row_factors), back(g.col_factors))
 
-    compressed = PsdFactorization(
-        f.field,
-        tuple(linalg.sym(a) for a in rows),
-        tuple(linalg.sym(b) for b in cols),
-    )
-    return compressed, restore
+    return PsdFactorization(f.field, rows, cols), restore
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Planar geometry behind psd rank 2: slack matrices, sandwich pairs,
-the ellipse feasibility program, factorization extraction, and MVEE.
+the ellipse feasibility program, and factorization extraction.
 
 A rank-3 nonnegative matrix is, after row normalization, the slack matrix of
 a polygon P nested in a polyhedron Q. Its psd rank is 2 exactly when some
@@ -94,14 +94,9 @@ def polytopes_from_matrix(m, tol: float = DEFAULT_TOL) -> SandwichPair:
     the affine chart dropping the last coordinate turns its rows into
     vertices and its columns into inequalities.
     """
-    mm = linalg.as_matrix(m)
-    if np.iscomplexobj(mm):
-        raise InputError("matrix must be real")
-    if np.min(mm) < -tol * linalg.scale_of(mm):
-        raise InputError("matrix must be nonnegative")
-    mm = np.clip(mm, 0.0, None)
+    mm = linalg.as_nonnegative(m, tol)
     sums = mm.sum(axis=1)
-    if np.min(sums) <= tol * linalg.scale_of(mm):
+    if not sums.size or np.min(sums) <= tol * linalg.scale_of(mm):
         raise InputError("every row must have positive sum")
     norm = mm / sums[:, None]
 
@@ -222,34 +217,6 @@ def certify(pair: SandwichPair, e: Ellipse, tol: float = 1e-7) -> EllipseCheck:
                         facet_violation, multiplier_violation, passed)
 
 
-def compute_multipliers(pair: SandwichPair, theta, tol: float = 1e-9) -> np.ndarray:
-    """Best facet multipliers for a given form: per facet, the lambda >= 0
-    maximizing the minimum eigenvalue of theta - lambda * facet form."""
-    theta = linalg.check_symmetric(np.asarray(theta, dtype=float), name="ellipse form")
-    lams = []
-    for g, h in zip(pair.outer.normals, pair.outer.offsets):
-        form = _facet_form(np.asarray(g, dtype=float), float(h))
-
-        def margin(lam):
-            return linalg.min_eig(theta - lam * form)
-
-        hi = 1.0
-        while margin(hi * 2) > margin(hi) and hi < 1e8:
-            hi *= 2
-        lo = 0.0
-        for _ in range(200):
-            m1 = lo + (hi - lo) / 3
-            m2 = hi - (hi - lo) / 3
-            if margin(m1) < margin(m2):
-                lo = m1
-            else:
-                hi = m2
-            if hi - lo < tol * max(1.0, hi):
-                break
-        lams.append(0.5 * (lo + hi))
-    return np.array(lams)
-
-
 def ellipse_program(pair: SandwichPair) -> sdp.SdpProblem:
     """The containment SDP: find Theta (trace of the quadratic part 1) and
     multipliers with every vertex inside and every facet S-procedure block psd.
@@ -281,13 +248,12 @@ def ellipse_program(pair: SandwichPair) -> sdp.SdpProblem:
     a_block[1:, :, :] = tc[:, :2, :2]
     blocks.append(a_block)
 
-    for x in verts:
-        h = np.append(x, 1.0)
-        quad = np.outer(h, h)
-        blk = np.zeros((n + 1, 1, 1))
-        for i in range(6):
-            blk[i + 1, 0, 0] = -float(np.tensordot(tc[i], quad, axes=2))
-        blocks.append(blk)
+    # vertex rows: q(x) = <Theta, h h^T> <= 0 with h = (x, 1)
+    h = np.hstack([verts, np.ones((len(verts), 1))])
+    quads = (h[:, :, None] * h[:, None, :]).reshape(len(verts), 9)
+    vert_blocks = np.zeros((len(verts), n + 1, 1, 1))
+    vert_blocks[:, 1:7, 0, 0] = -(quads @ tc[:6].reshape(6, 9).T)
+    blocks.extend(vert_blocks)
 
     for j, (g, hval) in enumerate(zip(normals, offsets)):
         form = _facet_form(np.asarray(g, dtype=float), float(hval))
@@ -371,11 +337,9 @@ def _psd_section_maps(e: Ellipse):
     cone onto w1 >= |(w2, w3)|; a permutation plus the affine disk-to-ellipse
     map then lands on cone{(x, 1) : q(x) <= 0}.
     """
-    a = e.a_form
-    eig_min = linalg.min_eig(a)
-    if eig_min < DEGENERATE_EIG:
+    if e.is_degenerate():
         raise DomainError("degenerate certificate: quadratic part is singular")
-    roots = linalg.psd_roots(a)
+    roots = linalg.psd_roots(e.a_form)
     center = -roots.pinv @ e.b_vec
     rho = float(e.b_vec @ roots.pinv @ e.b_vec) - e.c_val
     if rho < DEGENERATE_EIG:
@@ -440,26 +404,6 @@ def factorization_from_ellipse(m, pair: SandwichPair, e: Ellipse,
         y = fwd.T @ np.concatenate([-g, [h]])
         cols.append(_section_adjoint(y))
     return make_factorization(rows, cols, "real")
-
-
-# ---------------------------------------------------------------------------
-# minimum-volume enclosing ellipsoid
-
-
-def mvee(shapes, symmetric: bool = True, slack_tol: float = 1e-8) -> sdp.MveeResult:
-    """Minimum-volume origin-symmetric ellipsoid containing the union of
-    {u : S - u u^T psd} over the given shape matrices.
-
-    The input family is symmetric about the origin by construction (each
-    member is), so the flag only documents intent; off-origin centers are out
-    of scope.
-    """
-    if not symmetric:
-        raise InputError("only origin-symmetric enclosing ellipsoids are supported")
-    result = sdp.min_volume_shape(shapes, slack_tol=slack_tol)
-    if np.min(result.containment_margins) < -1e-9:
-        raise NumericalFailure("containment check failed after optimization")
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,16 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def as_nonnegative(m, tol: float = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
+    """Real input with entries >= -tol * (1 + max |entry|), clipped at zero."""
+    a = as_matrix(m, name)
+    if np.iscomplexobj(a):
+        raise InputError(f"{name} must be real")
+    if np.min(a, initial=0.0) < -tol * scale_of(a):
+        raise InputError(f"{name} must be nonnegative")
+    return np.clip(a, 0.0, None)
+
+
 def scale_of(m) -> float:
     a = np.asarray(m)
     return 1.0 + (float(np.max(np.abs(a))) if a.size else 0.0)
@@ -113,6 +123,18 @@ def psd_roots(m, tol: float = DEFAULT_TOL) -> PsdRoots:
         return sym((v * d) @ v.conj().T)
 
     return PsdRoots(build(sqrt_w), build(inv_sqrt_w), build(inv_w), int(keep.sum()))
+
+
+def block_diag(*mats) -> np.ndarray:
+    """Block-diagonal matrix of the given 2-d blocks, in order; the dtype is
+    the common result type of the blocks."""
+    out = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)),
+                   dtype=np.result_type(*mats))
+    r = c = 0
+    for m in mats:
+        out[r:r + m.shape[0], c:c + m.shape[1]] = m
+        r, c = r + m.shape[0], c + m.shape[1]
+    return out
 
 
 def kron(a, b) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError, InputError
-from .factors import PsdFactorization, make_factorization
+from .factors import PsdFactorization, compress_to_common_span, make_factorization
 from .linalg import DEFAULT_TOL
 
 
@@ -89,8 +89,10 @@ def to_protocol(f: PsdFactorization, m, tol: float = DEFAULT_TOL) -> Correlation
     """Build the protocol whose outcome distribution is m.
 
     Requires the entries of m to sum to one; normalize first otherwise. The
-    factor sums are inverted on their common range, so rank-deficient sums are
-    fine as long as the factorization is genuine.
+    factors are first restricted to the common range of their sums
+    (factors.compress_to_common_span) and the sums are inverted there, so
+    rank-deficient sums are fine as long as the factorization is genuine;
+    k is then the dimension of that range.
     """
     mm = linalg.as_matrix(m)
     if np.iscomplexobj(mm):
@@ -105,13 +107,10 @@ def to_protocol(f: PsdFactorization, m, tol: float = DEFAULT_TOL) -> Correlation
     if f.shape != mm.shape:
         raise InputError(f"factorization is {f.shape}, matrix is {mm.shape}")
 
+    f, _ = compress_to_common_span(f, tol)
     a_stack = np.array(f.row_factors)
     b_stack = np.array(f.col_factors)
-    f2, moved = _compress_onto_common_range(f, tol)
-    if moved:
-        a_stack = np.array(f2.row_factors)
-        b_stack = np.array(f2.col_factors)
-    k = a_stack.shape[1]
+    k = f.k
 
     sig_a = linalg.sym(a_stack.sum(axis=0))
     sig_b = linalg.sym(b_stack.sum(axis=0))
@@ -124,29 +123,6 @@ def to_protocol(f: PsdFactorization, m, tol: float = DEFAULT_TOL) -> Correlation
     rho = np.outer(psi, psi)
     rho = rho / np.trace(rho)
     return CorrelationProtocol(k, alice, bob, rho)
-
-
-def _compress_onto_common_range(f: PsdFactorization, tol: float):
-    """Restrict factors to the range of their sums when those are singular."""
-    a_stack = np.array(f.row_factors)
-    b_stack = np.array(f.col_factors)
-    moved = False
-    for which in (0, 1):
-        stack = a_stack if which == 0 else b_stack
-        s = linalg.sym(stack.sum(axis=0))
-        w, v = np.linalg.eigh(s)
-        keep = w > tol * max(1.0, w.max(initial=0.0))
-        if keep.all():
-            continue
-        basis = v[:, keep]
-        if basis.shape[1] == 0:
-            raise DomainError("all factors on one side vanish")
-        a_stack = np.einsum("ku,aki,iv->auv", basis, a_stack, basis)
-        b_stack = np.einsum("ku,aki,iv->auv", basis, b_stack, basis)
-        moved = True
-    if not moved:
-        return f, False
-    return make_factorization(list(a_stack), list(b_stack)), True
 
 
 def from_protocol(pr: CorrelationProtocol, tol: float = DEFAULT_TOL) -> PsdFactorization:
@@ -174,20 +150,8 @@ def from_protocol(pr: CorrelationProtocol, tol: float = DEFAULT_TOL) -> PsdFacto
         for j, gel in enumerate(pr.bob.elements):
             col_blocks[j].append(linalg.sym(right.T @ gel @ right))
 
-    def assemble(blocks):
-        sizes = [b.shape[0] for b in blocks[0]]
-        total = sum(sizes)
-        out = []
-        for per in blocks:
-            mat = np.zeros((total, total))
-            at = 0
-            for b in per:
-                mat[at:at + b.shape[0], at:at + b.shape[0]] = b
-                at += b.shape[0]
-            out.append(mat)
-        return out
-
-    return make_factorization(assemble(row_blocks), assemble(col_blocks))
+    return make_factorization([linalg.block_diag(*per) for per in row_blocks],
+                              [linalg.block_diag(*per) for per in col_blocks])
 
 
 @dataclass(frozen=True)

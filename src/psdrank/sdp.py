@@ -391,7 +391,7 @@ def _max_margin(p: SdpProblem, params: SdpParams, x_eq) -> _MarginResult:
     n = p.n
     blocks = _margin_blocks(p, params)
     nu = sum(b.shape[-1] for b in blocks)
-    base_margin = min(linalg.min_eig(v) for v in p.block_values(x_eq))
+    base_margin = p.margins(x_eq).min()
     tau0 = min(base_margin, 1.0) - 1.0
     x0 = np.concatenate([x_eq, [tau0]])
 
@@ -595,7 +595,8 @@ def min_volume_shape(shapes, slack_tol: float = 1e-8, inner_tol: float = 1e-10,
     path; running the path parameter to (number of shapes)/slack_tol makes
     the polar bound max_{v: S - vv^T >= 0} v' P^-1 v <= d * max_trace-ish
     hold with relative slack <= slack_tol, and containment is exact at every
-    interior central point.
+    interior central point. The result is re-checked: a containment margin
+    min eig(I - S^(1/2) P S^(1/2)) below -1e-9 raises NumericalFailure.
     """
     shapes = [linalg.check_symmetric(np.asarray(s, dtype=float), name="shape") for s in shapes]
     if not shapes:
@@ -645,5 +646,7 @@ def min_volume_shape(shapes, slack_tol: float = 1e-8, inner_tol: float = 1e-10,
     p = _section(np.zeros((d, d)), basis.reshape(nvar, -1), x)
     p = 0.5 * (p + p.T)
     margins = np.array([linalg.min_eig(np.eye(d) - r @ p @ r) for r in roots])
+    if np.min(margins) < -1e-9:
+        raise NumericalFailure("containment check failed after optimization")
     logdet_gap = n_shapes * d / t
     return MveeResult(p / lam_max, margins, t, logdet_gap, n_shapes / t)

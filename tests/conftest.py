@@ -9,6 +9,7 @@ truth; nothing in the catalog is produced by the package itself.
 import numpy as np
 import pytest
 
+from psdrank import geometry, linalg
 from psdrank.factors import make_factorization
 
 
@@ -161,3 +162,31 @@ def random_factorization(rng, p, q, k):
     cols = [random_psd(rng, k) for _ in range(q)]
     f = make_factorization(rows, cols)
     return f.matrix(), f
+
+
+def compute_multipliers(pair, theta, tol=1e-9):
+    """Best facet multipliers for a given form: per facet, the lambda >= 0
+    maximizing the minimum eigenvalue of theta - lambda * facet form."""
+    theta = linalg.check_symmetric(np.asarray(theta, dtype=float), name="ellipse form")
+    lams = []
+    for g, h in zip(pair.outer.normals, pair.outer.offsets):
+        form = geometry._facet_form(np.asarray(g, dtype=float), float(h))
+
+        def margin(lam):
+            return linalg.min_eig(theta - lam * form)
+
+        hi = 1.0
+        while margin(hi * 2) > margin(hi) and hi < 1e8:
+            hi *= 2
+        lo = 0.0
+        for _ in range(200):
+            m1 = lo + (hi - lo) / 3
+            m2 = hi - (hi - lo) / 3
+            if margin(m1) < margin(m2):
+                lo = m1
+            else:
+                hi = m2
+            if hi - lo < tol * max(1.0, hi):
+                break
+        lams.append(0.5 * (lo + hi))
+    return np.array(lams)

@@ -19,6 +19,13 @@ def write_factorization(tmp_path, f, name="f.json"):
     return str(path)
 
 
+def write_ellipse(tmp_path, name="e.json"):
+    path = tmp_path / name
+    e = geometry.Ellipse(np.diag([0.5, 0.5, -1.0]), np.zeros(3))
+    formats.dump_json(formats.encode_ellipse(e), path)
+    return str(path)
+
+
 def run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
@@ -319,6 +326,18 @@ class TestTopLevel:
         monkeypatch.setenv("PSDRANK_TOL", "abc")
         path = write_matrix(tmp_path, np.eye(2))
         assert cli.main(["bounds", path]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        lambda tmp: ["gen", "derangement", "abc"],
+        lambda tmp: ["gen", "derangement", "inf"],
+        lambda tmp: ["--seed", "abc", "gen", "identity", "2"],
+        lambda tmp: ["region", "circulant", "--grid", "-2"],
+        lambda tmp: ["extract-fact", write_matrix(tmp, np.zeros((0, 3))),
+                     write_ellipse(tmp), "-o", str(tmp / "f.json")],
+    ], ids=["gen-text", "gen-inf", "seed-text", "negative-grid", "extract-empty"])
+    def test_bad_input_is_usage_error(self, tmp_path, capsys, argv):
+        assert cli.main(argv(tmp_path)) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         def boom(m, opts=None):

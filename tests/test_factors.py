@@ -114,6 +114,13 @@ class TestDirectSum:
         with pytest.raises(InputError):
             factors.direct_sum(catalog[0].factorization, catalog[2].factorization)
 
+    def test_hermitian_blocks(self):
+        h, m = factors.hermitian_derangement4(), derangement(4)
+        f = factors.direct_sum(h, h)
+        assert f.field == "hermitian"
+        assert all(a.dtype == np.complex128 for a in f.row_factors + f.col_factors)
+        assert factors.verify(linalg.block_diag(m, m), f).passed
+
 
 class TestAdd:
     def test_add_zero(self, catalog):
@@ -140,6 +147,13 @@ class TestAdd:
     def test_shape_mismatch(self, catalog):
         with pytest.raises(InputError):
             factors.add(catalog[0].factorization, catalog[3].factorization)
+
+    def test_hermitian_doubling(self):
+        h = factors.hermitian_derangement4()
+        f = factors.add(h, h)
+        assert f.field == "hermitian" and f.k == 4
+        assert all(a.dtype == np.complex128 for a in f.row_factors + f.col_factors)
+        assert factors.verify(2.0 * derangement(4), f).passed
 
 
 class TestComposeRight:
@@ -306,6 +320,16 @@ class TestRescaleJohn:
         entry = catalog[4]
         g = factors.rescale_john(entry.factorization, entry.matrix)
         assert np.max(np.abs(g.matrix() - entry.matrix)) <= TOL
+
+    def test_large_factors(self):
+        # the ellipsoid shape matrix then has eigenvalues near 1e-11, far
+        # below any cutoff relative to its entries; all of them must count
+        f = factors.derangement_factorization(6)
+        big = factors.make_factorization([1e11 * a for a in f.row_factors], f.col_factors)
+        m = 1e11 * derangement(6)
+        g = factors.rescale_john(big, m)
+        assert factors.verify(m, g).passed
+        assert self.lam_max(g) <= self.bound(m, 3)
 
 
 class TestRank1Expand:

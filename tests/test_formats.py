@@ -6,6 +6,8 @@ import pytest
 from psdrank import cpsd, factors, formats, geometry, quantum, sdp
 from psdrank.errors import InputError
 
+from conftest import compute_multipliers
+
 
 class TestMatrixCodec:
     def test_real_round_trip(self):
@@ -102,7 +104,7 @@ class TestEllipseCodec:
     def test_round_trip(self):
         pair = geometry.centered_square_pair()
         theta = np.diag([0.5, 0.5, -1.0])
-        e = geometry.Ellipse(theta, geometry.compute_multipliers(pair, theta))
+        e = geometry.Ellipse(theta, compute_multipliers(pair, theta))
         g = formats.decode_ellipse(formats.encode_ellipse(e))
         assert np.array_equal(g.theta, e.theta)
         assert np.array_equal(g.multipliers, e.multipliers)

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from psdrank import factors, families, geometry, linalg
-from psdrank.errors import DomainError, InputError
+from psdrank import factors, families, geometry, linalg, sdp
+from psdrank.errors import DomainError, InputError, NumericalFailure
 from psdrank.geometry import Ellipse, PolyhedronH, PolytopeV, SandwichPair
+
+from conftest import compute_multipliers
 
 CIRCLE_FORM = np.diag([0.5, 0.5, -1.0])
 AXIS_FORM = np.diag([9.0 / 25.0, 16.0 / 25.0, -36.0 / 25.0])
 
 
 def certificate(pair, theta):
-    lams = geometry.compute_multipliers(pair, theta)
+    lams = compute_multipliers(pair, theta)
     return Ellipse(theta, lams)
 
 
@@ -83,6 +85,11 @@ class TestPolytopesFromMatrix:
         with pytest.raises(InputError):
             geometry.polytopes_from_matrix(np.eye(2, dtype=complex))
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_rejected(self, shape):
+        with pytest.raises(InputError):
+            geometry.polytopes_from_matrix(np.zeros(shape))
+
     def test_dimension_matches_rank_minus_one(self):
         m = families.circulant3(1.0, 1.5, 1.2)
         pair = geometry.polytopes_from_matrix(m)
@@ -130,7 +137,7 @@ class TestCertify:
     def test_small_ellipse_misses_vertices(self):
         pair = geometry.centered_square_pair()
         theta = np.diag([0.5, 0.5, -0.5])  # radius 1 circle, vertices outside
-        e = Ellipse(theta, geometry.compute_multipliers(pair, theta))
+        e = Ellipse(theta, compute_multipliers(pair, theta))
         chk = geometry.certify(pair, e)
         assert not chk.passed
         assert chk.vertex_violation >= 0.4
@@ -138,7 +145,7 @@ class TestCertify:
     def test_large_ellipse_escapes_outer_square(self):
         pair = geometry.centered_square_pair()
         theta = np.diag([0.5, 0.5, -5.0])  # radius > 3 circle
-        e = Ellipse(theta, geometry.compute_multipliers(pair, theta))
+        e = Ellipse(theta, compute_multipliers(pair, theta))
         chk = geometry.certify(pair, e)
         assert not chk.passed
         assert max(chk.facet_violation, chk.multiplier_violation) > 0.0
@@ -281,28 +288,30 @@ class TestEllipsePath:
 class TestMvee:
     def test_two_segments_give_unit_ball(self):
         shapes = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-        res = geometry.mvee(shapes)
+        res = sdp.min_volume_shape(shapes)
         assert np.max(np.abs(res.p - np.eye(2))) <= 1e-5
 
     def test_axis_aligned_closed_form(self):
         # diagonal shapes: optimal P_ii is 1 over the largest i-th entry
         shapes = [np.diag([4.0, 1.0]), np.diag([1.0, 9.0])]
-        res = geometry.mvee(shapes)
+        res = sdp.min_volume_shape(shapes)
         assert np.max(np.abs(res.p - np.diag([0.25, 1.0 / 9.0]))) <= 1e-5
 
     def test_rotation_equivariance(self):
         shapes = [np.diag([4.0, 1.0]), np.diag([1.0, 9.0])]
         c, s = np.cos(0.5), np.sin(0.5)
         r = np.array([[c, -s], [s, c]])
-        base = geometry.mvee(shapes).p
-        rotated = geometry.mvee([r @ s_ @ r.T for s_ in shapes]).p
+        base = sdp.min_volume_shape(shapes).p
+        rotated = sdp.min_volume_shape([r @ s_ @ r.T for s_ in shapes]).p
         assert np.max(np.abs(rotated - r @ base @ r.T)) <= 1e-5
 
-    def test_asymmetric_request_rejected(self):
-        with pytest.raises(InputError):
-            geometry.mvee([np.eye(2)], symmetric=False)
-
     def test_containment_margins_reported(self):
-        res = geometry.mvee([np.eye(3)])
+        res = sdp.min_volume_shape([np.eye(3)])
         assert np.min(res.containment_margins) >= -1e-9
         assert res.polar_slack <= 1e-8
+
+    def test_failed_containment_raises(self, monkeypatch):
+        # centering that lands on P = 2I leaves the unit ball outside
+        monkeypatch.setattr(sdp, "_center", lambda cones, c, x, *rest: (4.0 * x, None, 0))
+        with pytest.raises(NumericalFailure, match="containment"):
+            sdp.min_volume_shape([np.eye(2)])

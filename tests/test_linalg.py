@@ -96,6 +96,14 @@ class TestPsdRoots:
             linalg.psd_roots(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
+class TestBlockDiag:
+    def test_layout_and_common_dtype(self):
+        out = linalg.block_diag(np.eye(1), 2.0 * np.ones((2, 2)), np.array([[1j]]))
+        expected = np.diag([1.0, 0.0, 0.0, 1j])
+        expected[1:3, 1:3] = 2.0
+        assert out.dtype == np.complex128 and np.array_equal(out, expected)
+
+
 class TestKron:
     def test_identity(self):
         assert np.array_equal(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))

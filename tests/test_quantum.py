@@ -79,14 +79,31 @@ class TestToProtocol:
             assert np.max(np.abs(e - p)) <= 1e-9
 
     def test_padded_factors_are_compressed(self, catalog):
+        # a zero row and column of padding on one side (or both) leaves a
+        # common range of size 2; a padded other side gets a 1 in the new slot
         entry = next(e for e in catalog if e.name == "derangement3")
         m, f = normalized(entry)
-        pad = lambda a: np.pad(a, ((0, 1), (0, 1)))
-        f3 = factors.PsdFactorization("real", tuple(pad(a) for a in f.row_factors),
-                                      tuple(pad(b) for b in f.col_factors))
-        pr = quantum.to_protocol(f3, m)
-        assert pr.k == 2
-        assert quantum.verify_protocol(m, pr).passed
+        zero = lambda a: np.pad(a, ((0, 1), (0, 1)))
+        one = lambda a: linalg.block_diag(a, np.ones((1, 1)))
+        for pad_rows, pad_cols in ((zero, zero), (zero, one), (one, zero)):
+            f3 = factors.PsdFactorization("real", tuple(map(pad_rows, f.row_factors)),
+                                          tuple(map(pad_cols, f.col_factors)))
+            assert factors.verify(m, f3).passed
+            pr = quantum.to_protocol(f3, m)
+            assert pr.k == 2
+            assert quantum.verify_protocol(m, pr).passed
+            for rescale in (factors.rescale_trace, factors.rescale_john):
+                g = rescale(f3, m)
+                assert g.k == 3 and factors.verify(m, g).passed
+
+    def test_all_zero_row_factors_rejected(self, catalog):
+        entry = next(e for e in catalog if e.name == "derangement3")
+        m, f = normalized(entry)
+        f0 = factors.PsdFactorization("real", tuple(np.zeros_like(a) for a in f.row_factors),
+                                      f.col_factors)
+        for build in (quantum.to_protocol, factors.rescale_trace, factors.rescale_john):
+            with pytest.raises(DomainError):
+                build(f0, m)
 
     def test_unnormalized_matrix_rejected(self, catalog):
         entry = next(e for e in catalog if e.name == "derangement3")
