@@ -31,9 +31,10 @@ class SymmetricGram:
         k = mats[0].shape[0]
         if any(a.shape[0] != k for a in mats):
             raise InputError("factors must share one size")
-        for idx, a in enumerate(mats):
-            if linalg.min_eig(a) < -tol * linalg.scale_of(a):
-                raise InputError(f"factor {idx} is not psd")
+        stack = np.stack(mats)
+        bad = np.nonzero(linalg.eig_extremes(stack)[0] < -tol * linalg.scales_of(stack))[0]
+        if bad.size:
+            raise InputError(f"factor {bad[0]} is not psd")
         object.__setattr__(self, "factors", mats)
 
     @property

@@ -111,15 +111,11 @@ def verify(m, f: PsdFactorization, tol: float = DEFAULT_TOL) -> VerificationRepo
     if np.iscomplexobj(mm) and np.max(np.abs(mm.imag)) > tol * scale_m:
         raise InputError("matrix to verify has complex entries")
 
-    violations = []
-    fac_scale = 1.0
-    for g in f.row_factors + f.col_factors:
-        violations.append(max(0.0, -linalg.min_eig(g)))
-        fac_scale = max(fac_scale, linalg.scale_of(g))
-    max_viol = max(violations) if violations else 0.0
-
-    lmax_rows = [float(np.linalg.eigvalsh(g)[-1]) if g.size else 0.0 for g in f.row_factors]
-    lmax_cols = [float(np.linalg.eigvalsh(g)[-1]) if g.size else 0.0 for g in f.col_factors]
+    stack = np.stack(f.row_factors + f.col_factors)
+    lmin, lmax = linalg.eig_extremes(stack, name="factor")
+    max_viol = max(0.0, -float(lmin.min()))
+    fac_scale = linalg.scale_of(stack)
+    lmax_rows, lmax_cols = lmax[:p], lmax[p:]
     max_defect = 0.0
     orth_bound = 0.0
     orth_ok = True

@@ -44,7 +44,7 @@ def euclidean_distance(n: int) -> np.ndarray:
 
 def prime_corner(seq) -> np.ndarray:
     """Entries n_i + n_j - 1 for an increasing sequence with every 2 n_i - 1 prime."""
-    s = [int(x) for x in seq]
+    s = [_as_int(x, "prime family entry") for x in seq]
     if len(s) < 1 or any(x <= 0 for x in s):
         raise InputError("prime family needs a sequence of positive integers")
     if any(s[i] >= s[i + 1] for i in range(len(s) - 1)):
@@ -92,7 +92,7 @@ def hexagon_slack() -> np.ndarray:
 
 def partition_matrix(values) -> np.ndarray:
     """(n+1) x (n+1) block matrix [[I, a*a], [1^T, 0]] for positive integers a."""
-    a = [int(x) for x in values]
+    a = [_as_int(x, "partition family entry") for x in values]
     if len(a) < 1 or any(x <= 0 for x in a):
         raise InputError("partition family needs positive integers")
     n = len(a)
@@ -213,10 +213,22 @@ def known_facts(tag: str, params=()) -> dict:
 
 
 def _check_size(n) -> int:
-    n = int(n)
+    n = _as_int(n, "size parameter")
     if n < 1:
         raise InputError("size parameter must be a positive integer")
     return n
+
+
+def _as_int(x, what: str) -> int:
+    """x as an int; a non-integral value is refused rather than truncated."""
+    try:
+        v = int(x)
+        integral = float(x) == v
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise InputError(f"{what} must be an integer, got {x!r}")
+    return v
 
 
 def _check_nonneg(x, what: str) -> float:

@@ -42,6 +42,12 @@ def scale_of(m) -> float:
     return 1.0 + (float(np.max(np.abs(a))) if a.size else 0.0)
 
 
+def scales_of(stack) -> np.ndarray:
+    """scale_of for every matrix of a (B, p, q) stack."""
+    a = np.abs(np.asarray(stack))
+    return 1.0 + a.reshape(len(a), -1).max(axis=1, initial=0.0)
+
+
 def sym(m: np.ndarray) -> np.ndarray:
     """Symmetric (Hermitian) part of a square matrix."""
     return 0.5 * (m + m.conj().T)
@@ -72,6 +78,37 @@ def min_eig(m) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.eigvalsh(a)[0])
+
+
+def sym_stack(stack, name: str = "matrix") -> np.ndarray:
+    """Symmetric (Hermitian) part of every matrix in a (B, k, k) stack, after
+    the check_symmetric tolerance per matrix; the error names the first bad
+    index."""
+    a = np.asarray(stack)
+    if a.ndim != 3:
+        raise InputError(f"{name} stack must be 3-dimensional, got shape {a.shape}")
+    if not np.iscomplexobj(a):
+        a = a.astype(np.float64, copy=False)
+    if not np.all(np.isfinite(a)):
+        raise InputError(f"{name} contains NaN or Inf entries")
+    if a.shape[1] != a.shape[2]:
+        raise DomainError(f"{name} must be square, got shape {a.shape[1:]}")
+    trans = a.conj().transpose(0, 2, 1)
+    asym = np.abs(a - trans).reshape(len(a), -1).max(axis=1, initial=0.0)
+    bad = np.nonzero(asym > 10 * DEFAULT_TOL * scales_of(a))[0]
+    if bad.size:
+        raise DomainError(f"{name} {bad[0]} is not symmetric/Hermitian within tolerance")
+    return 0.5 * (a + trans)
+
+
+def eig_extremes(stack, name: str = "matrix"):
+    """(smallest, largest) eigenvalue of every matrix in a (B, k, k) stack,
+    from one eigvalsh call after sym_stack; empty matrices read 0.0."""
+    a = sym_stack(stack, name)
+    if a.shape[1] == 0:
+        return np.zeros(len(a)), np.zeros(len(a))
+    w = np.linalg.eigvalsh(a)
+    return w[:, 0], w[:, -1]
 
 
 def is_psd(m, tol: float = DEFAULT_TOL) -> bool:

@@ -16,6 +16,13 @@ All 1x1 blocks (sign rows, caps, box bounds) form one diagonal cone with
 a closed-form gradient and Hessian. A line-search trial costs one batched
 Cholesky per cone, whose diagonal gives the log-determinant and whose
 failure marks a point outside the domain.
+
+Determinant maximization over one symmetric d x d matrix X = smat(x) uses a
+congruence cone instead: every block is F_b = c_b I + sigma_b R_b X R_b, so
+the cone keeps the stacked roots R_b and no coefficient rows. With
+W_b = R_b F_b^-1 R_b the gradient is -sum_b w_b sigma_b vecm(W_b) and the
+Hessian sum_b w_b <E_a, W_b E_c W_b> is one (d^2 x B)(B x d^2) product,
+read at the index pairs of the vecm basis E_a.
 """
 from __future__ import annotations
 
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DomainError, InputError, NumericalFailure
+from .errors import InputError, NumericalFailure
 
 
 @dataclass(frozen=True)
@@ -87,18 +94,7 @@ def _check_block(blk, n):
         raise InputError(f"block needs {n + 1} coefficient matrices, got {len(mats)}")
     if len({m.shape for m in mats}) != 1:
         raise InputError("coefficient matrices in a block differ in size")
-    stack = np.stack(mats)
-    if not np.all(np.isfinite(stack)):
-        raise InputError("block matrix contains NaN or Inf entries")
-    if stack.shape[1] != stack.shape[2]:
-        raise DomainError(f"block matrix must be square, got shape {stack.shape[1:]}")
-    # the per-matrix tolerance of linalg.check_symmetric
-    trans = stack.transpose(0, 2, 1)
-    asym = np.abs(stack - trans).max(axis=(1, 2), initial=0.0)
-    scale = 1.0 + np.abs(stack).max(axis=(1, 2), initial=0.0)
-    if np.any(asym > 10 * linalg.DEFAULT_TOL * scale):
-        raise DomainError("block matrix is not symmetric/Hermitian within tolerance")
-    return 0.5 * (stack + trans)
+    return linalg.sym_stack(np.stack(mats), name="block matrix")
 
 
 @dataclass(frozen=True)
@@ -174,6 +170,49 @@ class _DiagCone(_Cone):
     def grad_hess(self, x):
         gd = self.g / self.values(x)
         return -(gd @ self.w), (gd * self.w) @ gd.T
+
+
+class _CongruenceCone(_Cone):
+    """Blocks F_b = c_b I + sigma_b R_b X R_b in X = smat(x); roots is (B, d, d).
+
+    Entry ((i,k),(j,l)) of sum_b w_b vec(W_b) vec(W_b)^T is the Kronecker
+    entry ((i,j),(k,l)) of sum_b w_b W_b (x) W_b; a vecm coordinate sits at
+    the positions (i,j) and (j,i), so the Hessian reads that product at two
+    index grids.
+    """
+
+    def __init__(self, consts, roots, signs, weights):
+        d = roots.shape[-1]
+        self.f0 = np.asarray(consts, dtype=float)[:, None, None] * np.eye(d)
+        self.roots = roots
+        self.signs = np.asarray(signs, dtype=float)
+        self.left = self.signs[:, None, None] * roots
+        self.w = np.asarray(weights, dtype=float)
+        # vecm order: the diagonal, then the strict upper triangle row by row;
+        # row a of basis is vec(E_a), 1 on the diagonal, 1/sqrt(2) at (i,j)
+        # and (j,i) off it
+        iu, ju = np.triu_indices(d, 1)
+        i, j = np.r_[np.arange(d), iu], np.r_[np.arange(d), ju]
+        unit = np.where(i == j, 1.0, 1.0 / math.sqrt(2.0))
+        self.basis = np.zeros((len(i), d * d))
+        self.basis[np.arange(len(i)), i * d + j] = unit
+        self.basis[np.arange(len(i)), j * d + i] = unit
+        half = np.where(i == j, 0.5, unit)
+        self.pair = 2.0 * np.outer(half, half)
+        row, col = i[:, None] * d, j[:, None] * d
+        self.hess_at = ((row + i) * d * d + col + j, (row + j) * d * d + col + i)
+
+    def smat(self, x):
+        return (x @ self.basis).reshape(self.f0.shape[1:])
+
+    def values(self, x):
+        return self.f0 + self.left @ self.smat(x) @ self.roots
+
+    def grad_hess(self, x):
+        wb = (self.roots @ np.linalg.inv(self.values(x)) @ self.roots).reshape(len(self.w), -1)
+        grad = -(self.basis @ ((self.w * self.signs) @ wb))
+        kron = ((self.w[:, None] * wb).T @ wb).reshape(-1)
+        return grad, self.pair * (kron[self.hess_at[0]] + kron[self.hess_at[1]])
 
 
 def _group_blocks(blocks, weights=None):
@@ -568,22 +607,7 @@ class MveeResult:
     path_parameter: float
     logdet_gap: float
     polar_slack: float
-
-
-def _sym_basis(d):
-    """vecm-ordered basis of d x d symmetric matrices (diagonal first)."""
-    mats = []
-    for i in range(d):
-        e = np.zeros((d, d))
-        e[i, i] = 1.0
-        mats.append(e)
-    r = 1.0 / np.sqrt(2.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            e = np.zeros((d, d))
-            e[i, j] = e[j, i] = r
-            mats.append(e)
-    return np.stack(mats)
+    newton_steps: int = 0
 
 
 def min_volume_shape(shapes, slack_tol: float = 1e-8, inner_tol: float = 1e-10,
@@ -597,6 +621,7 @@ def min_volume_shape(shapes, slack_tol: float = 1e-8, inner_tol: float = 1e-10,
     hold with relative slack <= slack_tol, and containment is exact at every
     interior central point. The result is re-checked: a containment margin
     min eig(I - S^(1/2) P S^(1/2)) below -1e-9 raises NumericalFailure.
+    newton_steps counts the centering steps plus one per path stage.
     """
     shapes = [linalg.check_symmetric(np.asarray(s, dtype=float), name="shape") for s in shapes]
     if not shapes:
@@ -609,44 +634,34 @@ def min_volume_shape(shapes, slack_tol: float = 1e-8, inner_tol: float = 1e-10,
     if wmax <= 0 or linalg.numerical_rank(total) < d:
         raise InputError("shape union does not span the space")
 
-    roots = []
-    lam_max = 0.0
-    for s in shapes:
-        w, v = np.linalg.eigh(s)
-        w = np.clip(w, 0.0, None)
-        roots.append((v * np.sqrt(w)) @ v.T)
-        lam_max = max(lam_max, float(w[-1]) if w.size else 0.0)
+    w, v = np.linalg.eigh(np.stack(shapes))
+    w = np.clip(w, 0.0, None)
+    lam_max = float(w[:, -1].max())
     # work at unit top eigenvalue so the barrier sees O(1) coefficients no
     # matter how the caller scaled the shapes; undone on the optimal P below
-    roots = [r / np.sqrt(lam_max) for r in roots]
+    roots = (v * np.sqrt(w)[:, None, :]) @ v.transpose(0, 2, 1) / np.sqrt(lam_max)
 
-    basis = _sym_basis(d)
-    nvar = basis.shape[0]
-
-    blocks = []
-    own = np.concatenate([np.zeros((1, d, d)), basis], axis=0)
-    blocks.append(own)
-    for r in roots:
-        g = np.stack([-r @ e @ r for e in basis])
-        blocks.append(np.concatenate([np.eye(d)[None], g], axis=0))
-
+    # the own block X >= 0 (weight t) and one block I - R X R per shape
     n_shapes = len(shapes)
+    cone = _CongruenceCone(np.r_[0.0, np.ones(n_shapes)],
+                           np.concatenate([np.eye(d)[None], roots]),
+                           np.r_[1.0, -np.ones(n_shapes)], np.ones(n_shapes + 1))
     x = linalg.vecm(0.5 * np.eye(d))
 
     t_final = max(10.0 * n_shapes / slack_tol, 1.0)
     t = 1.0
+    steps = 0
     while True:
-        weights = [t] + [1.0] * n_shapes
-        cones = _group_blocks(blocks, weights)
-        x, _, _ = _center(cones, np.zeros(nvar), x, None, inner_tol)
+        cone.w[0] = t
+        x, _, used = _center([cone], np.zeros(x.size), x, None, inner_tol)
+        steps += used + 1
         if t >= t_final:
             break
         t = min(t * mu, t_final)
 
-    p = _section(np.zeros((d, d)), basis.reshape(nvar, -1), x)
-    p = 0.5 * (p + p.T)
-    margins = np.array([linalg.min_eig(np.eye(d) - r @ p @ r) for r in roots])
+    p = cone.smat(x)
+    margins = linalg.eig_extremes(np.eye(d) - roots @ p @ roots)[0]
     if np.min(margins) < -1e-9:
         raise NumericalFailure("containment check failed after optimization")
     logdet_gap = n_shapes * d / t
-    return MveeResult(p / lam_max, margins, t, logdet_gap, n_shapes / t)
+    return MveeResult(p / lam_max, margins, t, logdet_gap, n_shapes / t, steps)

@@ -9,7 +9,7 @@ truth; nothing in the catalog is produced by the package itself.
 import numpy as np
 import pytest
 
-from psdrank import geometry, linalg
+from psdrank import geometry, linalg, sdp
 from psdrank.factors import make_factorization
 
 
@@ -190,3 +190,43 @@ def compute_multipliers(pair, theta, tol=1e-9):
                 break
         lams.append(0.5 * (lo + hi))
     return np.array(lams)
+
+
+def sym_basis(d):
+    """vecm-ordered basis of d x d symmetric matrices (diagonal first)."""
+    mats = []
+    for i in range(d):
+        e = np.zeros((d, d))
+        e[i, i] = 1.0
+        mats.append(e)
+    r = 1.0 / np.sqrt(2.0)
+    for i in range(d):
+        for j in range(i + 1, d):
+            e = np.zeros((d, d))
+            e[i, j] = e[j, i] = r
+            mats.append(e)
+    return np.stack(mats)
+
+
+def coefficient_blocks(consts, roots, signs):
+    """Coefficient stacks (nvar+1, d, d) of the blocks c I + sigma R X R, one
+    [c I, sigma R E_a R for every basis E_a] per root: how min_volume_shape
+    built its blocks before the congruence cone."""
+    d = roots.shape[-1]
+    basis = sym_basis(d)
+    return [np.concatenate([c * np.eye(d)[None], np.stack([s * (r @ e @ r) for e in basis])])
+            for c, r, s in zip(consts, roots, signs)]
+
+
+class StackedCongruenceCone(sdp._CongruenceCone):
+    """The congruence cone evaluated by the generic kernel over
+    coefficient_blocks; patched in for sdp._CongruenceCone it is the
+    coefficient-stack path of min_volume_shape."""
+
+    def __init__(self, consts, roots, signs, weights):
+        super().__init__(consts, roots, signs, weights)
+        self.f0, self.g = sdp._flat(np.stack(coefficient_blocks(consts, roots, signs), axis=1))
+        self.g4 = self.g.reshape((len(self.g),) + self.f0.shape)
+
+    values = sdp._Cone.values
+    grad_hess = sdp._Cone.grad_hess

@@ -105,7 +105,7 @@ def test_06_rescaling_contracts():
     # trace mode: row factors sum to the identity and each column factor
     # trace equals its column sum; john mode: factor eigenvalues stay below
     # sqrt(k * max entry); both preserve every inner product to 1e-9
-    with Budget(10.0):
+    with Budget(2.0):
         targets = []
         for entry in build_catalog():
             targets.append((entry.matrix, entry.factorization))

@@ -330,11 +330,14 @@ class TestTopLevel:
     @pytest.mark.parametrize("argv", [
         lambda tmp: ["gen", "derangement", "abc"],
         lambda tmp: ["gen", "derangement", "inf"],
+        lambda tmp: ["gen", "derangement", "2.5"],
+        lambda tmp: ["gen", "prime", "2.5", "3", "4"],
         lambda tmp: ["--seed", "abc", "gen", "identity", "2"],
         lambda tmp: ["region", "circulant", "--grid", "-2"],
         lambda tmp: ["extract-fact", write_matrix(tmp, np.zeros((0, 3))),
                      write_ellipse(tmp), "-o", str(tmp / "f.json")],
-    ], ids=["gen-text", "gen-inf", "seed-text", "negative-grid", "extract-empty"])
+    ], ids=["gen-text", "gen-inf", "gen-fraction", "prime-fraction", "seed-text",
+            "negative-grid", "extract-empty"])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, argv):
         assert cli.main(argv(tmp_path)) == 2
         assert "error:" in capsys.readouterr().err

@@ -31,6 +31,10 @@ class TestSymmetricGram:
         with pytest.raises(InputError, match="psd"):
             SymmetricGram([np.diag([1.0, -1.0])])
 
+    def test_names_first_indefinite_factor(self):
+        with pytest.raises(InputError, match="factor 1 is not psd"):
+            SymmetricGram([np.eye(2), np.diag([1.0, -1.0]), -np.eye(2)])
+
     def test_rejects_size_mismatch(self):
         with pytest.raises(InputError):
             SymmetricGram([np.eye(2), np.eye(3)])

@@ -58,6 +58,17 @@ def test_prime_corner_rejects_nonprime_doubles():
         families.prime_corner((2, 3, 5))  # 2*5-1 = 9 is composite
 
 
+def test_non_integral_parameters_rejected():
+    # a fractional size or sequence entry is refused, never truncated
+    assert families.derangement(3.0).shape == (3, 3)
+    for build in (lambda: families.derangement(2.5), lambda: families.cos2_matrix(5.5),
+                  lambda: families.prime_corner((2.5, 3, 4)),
+                  lambda: families.partition_matrix((5.5, 12, 13)),
+                  lambda: families.generate("euclidean", [float("nan")])):
+        with pytest.raises(InputError, match="integer"):
+            build()
+
+
 def test_square_slack_entries():
     assert np.array_equal(families.square_slack(),
                           [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]])

@@ -44,6 +44,41 @@ class TestIsPsd:
         assert not linalg.is_psd(np.diag([-1e-4, 1.0]))
 
 
+class TestEigExtremes:
+    def test_matches_per_matrix_eigenvalues(self):
+        rng = np.random.default_rng(8)
+        real = np.stack([random_psd(rng, 4, rank=r) - 0.3 * np.eye(4) for r in (1, 2, 4)])
+        g = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+        herm = g + g.conj().transpose(0, 2, 1)
+        for stack in (real, herm):
+            lo, hi = linalg.eig_extremes(stack)
+            for a, l, h in zip(stack, lo, hi):
+                assert l == pytest.approx(linalg.min_eig(a), abs=1e-12)
+                assert h == pytest.approx(np.linalg.eigvalsh(a)[-1], abs=1e-12)
+
+    def test_symmetry_rule_of_min_eig_names_first_bad_index(self):
+        # the min_eig rule: asymmetry above 10 * tol * (1 + max |entry|) fails
+        ok = np.eye(2)
+        slight = np.array([[1.0, 1e-8], [0.0, 1.0]])
+        bad = np.array([[1.0, 1e-6], [0.0, 1.0]])
+        linalg.min_eig(slight)
+        linalg.eig_extremes(np.stack([ok, slight]))
+        with pytest.raises(DomainError):
+            linalg.min_eig(bad)
+        with pytest.raises(DomainError, match="matrix 2 is not symmetric"):
+            linalg.eig_extremes(np.stack([ok, slight, bad, bad]))
+
+    def test_empty_and_nonfinite(self):
+        lo, hi = linalg.eig_extremes(np.zeros((3, 0, 0)))
+        assert lo.tolist() == hi.tolist() == [0.0, 0.0, 0.0]
+        with pytest.raises(InputError):
+            linalg.eig_extremes(np.stack([np.eye(2), np.full((2, 2), np.nan)]))
+        with pytest.raises(InputError):
+            linalg.eig_extremes(np.eye(2))
+        with pytest.raises(DomainError):
+            linalg.eig_extremes(np.zeros((2, 2, 3)))
+
+
 class TestVecm:
     def test_identity(self):
         assert np.allclose(linalg.vecm(np.eye(2)), [1.0, 1.0, 0.0])

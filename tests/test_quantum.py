@@ -31,6 +31,11 @@ class TestPovm:
         with pytest.raises(InputError, match="psd"):
             Povm([e, np.eye(2) - e])
 
+    def test_names_first_non_psd_element(self):
+        e = np.array([[1.0, 0.0], [0.0, -0.2]])
+        with pytest.raises(InputError, match="element 1 is not psd"):
+            Povm([np.zeros((2, 2)), e, np.eye(2) - e])
+
     def test_rejects_empty(self):
         with pytest.raises(InputError):
             Povm([])

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from psdrank import families, geometry, sdp
+from psdrank import factors, families, geometry, linalg, sdp
 from psdrank.errors import DomainError, InputError, NumericalFailure
 from psdrank.sdp import SdpParams, SdpProblem
+
+from conftest import StackedCongruenceCone, coefficient_blocks
 
 
 def sym(rng, s, scale=1.0):
@@ -272,6 +274,75 @@ class TestBarrierKernel:
         assert sdp._potential(self.cones, np.zeros(self.n), x) == np.inf
         with pytest.raises(NumericalFailure):
             sdp._center(self.cones, np.zeros(self.n), x)
+
+
+class TestCongruenceCone:
+    """The congruence kernel against the generic kernel over the coefficient stack."""
+
+    @staticmethod
+    def roots(rng, d, n):
+        """n symmetric roots with top eigenvalue <= 1; every third has rank 1."""
+        out = []
+        for b in range(n):
+            g = rng.standard_normal((d, 1 if b % 3 == 0 else d))
+            w, v = np.linalg.eigh(g @ g.T)
+            r = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+            out.append(r / np.linalg.eigvalsh(r)[-1])
+        return np.stack(out)
+
+    @pytest.mark.parametrize("d, n", [(2, 3), (3, 6), (5, 8)])
+    def test_kernel_matches_coefficient_stack(self, d, n):
+        rng = np.random.default_rng(40 + d)
+        # an own block X >= 0 plus blocks c I +- R X R with c >= 1
+        consts = np.r_[0.0, rng.uniform(1.0, 2.0, n)]
+        roots = np.concatenate([np.eye(d)[None], self.roots(rng, d, n)])
+        signs = np.r_[1.0, rng.choice([-1.0, 1.0], n)]
+        weights = rng.uniform(0.5, 3.0, n + 1)
+        new = sdp._CongruenceCone(consts, roots, signs, weights)
+        [ref] = sdp._group_blocks(coefficient_blocks(consts, roots, signs), weights)
+        for _ in range(3):
+            # eigenvalues of X in [0.1, 0.5] keep every block positive definite
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            x = linalg.vecm((q * rng.uniform(0.1, 0.5, d)) @ q.T)
+            v_ref = ref.values(x)
+            assert np.max(np.abs(new.values(x) - v_ref)) <= 1e-10 * np.max(np.abs(v_ref))
+            assert abs(new.barrier(x) - ref.barrier(x)) <= 1e-10 * max(1.0, abs(ref.barrier(x)))
+            (g_new, h_new), (g_ref, h_ref) = new.grad_hess(x), ref.grad_hess(x)
+            assert np.max(np.abs(g_new - g_ref)) <= 1e-10 * np.max(np.abs(g_ref))
+            assert np.max(np.abs(h_new - h_ref)) <= 1e-10 * np.max(np.abs(h_ref))
+            assert np.array_equal(new.smat(x), linalg.sym(new.smat(x)))
+
+    @pytest.mark.parametrize("case", ["derangement6", "derangement10", "derangement15",
+                                      "derangement21", "derangement28", "rank-deficient"])
+    def test_min_volume_shape_matches_stacked_path(self, case, monkeypatch):
+        if case == "rank-deficient":
+            rng = np.random.default_rng(5)
+            vs = rng.standard_normal((6, 4))
+            shapes = [np.outer(v, v) for v in vs] + [np.diag([1.0, 2.0, 0.0, 0.0])]
+        else:
+            f = factors.derangement_factorization(int(case[len("derangement"):]))
+            shapes = factors.compress_to_common_span(f, linalg.DEFAULT_TOL)[0].row_factors
+        got = sdp.min_volume_shape(shapes)
+        monkeypatch.setattr(sdp, "_CongruenceCone", StackedCongruenceCone)
+        ref = sdp.min_volume_shape(shapes)
+        assert got.newton_steps == ref.newton_steps > 0
+        assert np.max(np.abs(got.p - ref.p)) <= 1e-12 * np.max(np.abs(ref.p))
+        assert np.min(got.containment_margins) >= -1e-9
+
+    def test_newton_steps_count_stages(self, monkeypatch):
+        # centering steps plus one per path stage, as in SdpSolution
+        center = sdp._center
+        counted = []
+
+        def counting(*args, **kwargs):
+            out = center(*args, **kwargs)
+            counted.append(out[2] + 1)
+            return out
+
+        monkeypatch.setattr(sdp, "_center", counting)
+        res = sdp.min_volume_shape([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.ones((2, 2))])
+        assert len(counted) > 1
+        assert res.newton_steps == sum(counted)
 
 
 class TestEllipseSection:
