@@ -415,9 +415,7 @@ def sqrt_rank_exact(m, budget: int = 20, tol: float = DEFAULT_TOL) -> SqrtRankRe
     free_edges = _non_forest_edges(support, nz)
     nfree = len(free_edges)
     if nfree > budget:
-        raise ResourceError(
-            f"sign search needs {nfree} free bits ({2 ** nfree} patterns); budget is {budget}"
-        )
+        raise ResourceError(f"sign search needs {nfree} free bits; budget is {budget}")
 
     target_rank = linalg.numerical_rank(mm, tol)
     floor_val = rank_to_min_size(target_rank)

@@ -8,6 +8,7 @@ codes: 0 affirmative/pass, 1 negative/fail, 2 usage or input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -307,6 +308,7 @@ def _cmd_sdp_solve(args, cfg) -> int:
 # wiring
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psdrank",

@@ -391,7 +391,7 @@ def derangement_factorization(n: int) -> PsdFactorization:
     forms F_{s,t} = (e_s - e_t)(e_s - e_t)^T in lexicographic pair order; the
     column factors are the companion half-integer matrices.
     """
-    n = int(n)
+    n = linalg.as_int(n, "derangement size")
     if n < 1:
         raise InputError("derangement size must be positive")
     k = rank_to_min_size(n)

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from . import linalg
 from .bounds import rank_to_min_size
 from .errors import InputError
 
@@ -44,7 +45,7 @@ def euclidean_distance(n: int) -> np.ndarray:
 
 def prime_corner(seq) -> np.ndarray:
     """Entries n_i + n_j - 1 for an increasing sequence with every 2 n_i - 1 prime."""
-    s = [_as_int(x, "prime family entry") for x in seq]
+    s = [linalg.as_int(x, "prime family entry") for x in seq]
     if len(s) < 1 or any(x <= 0 for x in s):
         raise InputError("prime family needs a sequence of positive integers")
     if any(s[i] >= s[i + 1] for i in range(len(s) - 1)):
@@ -92,7 +93,7 @@ def hexagon_slack() -> np.ndarray:
 
 def partition_matrix(values) -> np.ndarray:
     """(n+1) x (n+1) block matrix [[I, a*a], [1^T, 0]] for positive integers a."""
-    a = [_as_int(x, "partition family entry") for x in values]
+    a = [linalg.as_int(x, "partition family entry") for x in values]
     if len(a) < 1 or any(x <= 0 for x in a):
         raise InputError("partition family needs positive integers")
     n = len(a)
@@ -159,10 +160,10 @@ def known_facts(tag: str, params=()) -> dict:
     """
     params = list(params)
     if tag == "derangement":
-        n = int(params[0])
+        n = linalg.as_int(params[0], "size parameter")
         return {"rank": n if n != 1 else 0, "psd_rank": rank_to_min_size(n) if n > 1 else 0}
     if tag == "identity":
-        n = int(params[0])
+        n = linalg.as_int(params[0], "size parameter")
         return {"rank": n, "psd_rank": n, "sqrt_rank": n, "nonneg_rank": n}
     if tag == "circulant3":
         a, b, c = map(float, params)
@@ -172,7 +173,7 @@ def known_facts(tag: str, params=()) -> dict:
         psd = 2 if circulant3_rank2_margin(a, b, c) >= 0 else 3
         return {"rank": 3, "psd_rank": psd}
     if tag == "euclidean":
-        n = int(params[0])
+        n = linalg.as_int(params[0], "size parameter")
         if n == 1:
             return {"rank": 0, "psd_rank": 0, "sqrt_rank": 0}
         if n == 2:
@@ -197,14 +198,15 @@ def known_facts(tag: str, params=()) -> dict:
     if tag == "partition":
         n = len(params)
         facts = {"rank": n + 1, "psd_rank": (rank_to_min_size(n + 1), n + 1)}
-        if tuple(int(x) for x in params) == (5, 12, 13):
+        entries = tuple(linalg.as_int(x, "partition family entry") for x in params)
+        if entries == (5, 12, 13):
             facts["psd_rank"] = 3
             facts["sqrt_rank"] = n + 1
-        if tuple(int(x) for x in params) == (1, 1, 2):
+        if entries == (1, 1, 2):
             facts["sqrt_rank"] = n
         return facts
     if tag == "cos2":
-        if params and int(params[0]) == 5:
+        if params and linalg.as_int(params[0], "size parameter") == 5:
             return {"rank": 3, "psd_rank": 2, "sqrt_rank": 2}
         return {}
     if tag == "horn":
@@ -213,22 +215,10 @@ def known_facts(tag: str, params=()) -> dict:
 
 
 def _check_size(n) -> int:
-    n = _as_int(n, "size parameter")
+    n = linalg.as_int(n, "size parameter")
     if n < 1:
         raise InputError("size parameter must be a positive integer")
     return n
-
-
-def _as_int(x, what: str) -> int:
-    """x as an int; a non-integral value is refused rather than truncated."""
-    try:
-        v = int(x)
-        integral = float(x) == v
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    if not integral:
-        raise InputError(f"{what} must be an integer, got {x!r}")
-    return v
 
 
 def _check_nonneg(x, what: str) -> float:

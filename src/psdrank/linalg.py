@@ -27,6 +27,18 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def as_int(x, what: str) -> int:
+    """x as an int; a non-integral value is refused rather than truncated."""
+    try:
+        v = int(x)
+        integral = float(x) == v
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise InputError(f"{what} must be an integer, got {x!r}")
+    return v
+
+
 def as_nonnegative(m, tol: float = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
     """Real input with entries >= -tol * (1 + max |entry|), clipped at zero."""
     a = as_matrix(m, name)

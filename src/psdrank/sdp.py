@@ -13,9 +13,14 @@ The barrier kernel groups blocks by size and keeps each group's
 coefficients flattened, one row per variable, so a section is
 F0 + (x @ G).reshape(B, s, s): one matmul for every block of the group.
 All 1x1 blocks (sign rows, caps, box bounds) form one diagonal cone with
-a closed-form gradient and Hessian. A line-search trial costs one batched
-Cholesky per cone, whose diagonal gives the log-determinant and whose
-failure marks a point outside the domain.
+a closed-form gradient and Hessian. Each Newton iterate costs one batched
+eigendecomposition per cone: it gives the log-determinant, the domain
+check, F^-1 for the gradient and Hessian, and F^-1/2 for the eigenvalues mu
+of F^-1/2 dF F^-1/2 along the Newton direction dx. With those the potential
+along dx is a c.dx - sum w log(1 + a mu) in closed form, and the step is its
+exact minimizer (the plane search of Vandenberghe & Boyd, "Semidefinite
+programming", SIAM Review 1996) until the Newton decrement falls to 1/4,
+the full step after that; no trial point is factored.
 
 Determinant maximization over one symmetric d x d matrix X = smat(x) uses a
 congruence cone instead: every block is F_b = c_b I + sigma_b R_b X R_b, so
@@ -129,6 +134,11 @@ class _Cone:
     """Weighted log-det barrier over B stacked s x s blocks.
 
     f0 is (B, s, s); row i of g (n, B*s*s) holds G_i of every block.
+    factor(x) eigen-decomposes every block once, F = V diag(lam) V^T, and
+    scales the coefficients to L^T G_i L with L = V diag(lam^-1/2), so
+    F^-1 = L L^T: tr(F^-1 G_i) is the trace of a scaled section, the
+    Hessian entry tr(F^-1 G_i F^-1 G_j) is the inner product of two, and
+    the line eigenvalues are those of sum_i dx_i L^T G_i L.
     """
 
     def __init__(self, f0, g, weights):
@@ -140,40 +150,57 @@ class _Cone:
     def values(self, x):
         return _section(self.f0, self.g, x)
 
-    def barrier(self, x):
-        """-sum_b w_b log det F_b from one batched Cholesky; inf off the domain."""
-        try:
-            chol = np.linalg.cholesky(self.values(x))
-        except np.linalg.LinAlgError:
-            return np.inf
-        val = -2.0 * float(self.w @ np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1))
-        return val if math.isfinite(val) else np.inf
+    def factor(self, x):
+        """(-sum_b w_b log det F_b, sections(L)) at x; None off the domain."""
+        lam, vec = np.linalg.eigh(self.values(x))
+        if not lam[:, 0].min() > 0:
+            return None
+        root = vec * (1.0 / np.sqrt(lam))[:, None, :]
+        return -float(self.w @ np.log(lam).sum(axis=1)), self.sections(root)
 
-    def grad_hess(self, x):
-        finv = np.linalg.inv(self.values(x))
-        wfinv = self.w[:, None, None] * finv
-        grad = -(self.g @ wfinv.reshape(-1))
-        # d2/dx_i dx_j = sum_b w_b tr(F^-1 G_i F^-1 G_j) = <G_i, w F^-1 G_j F^-1>
-        hess = self.g @ (finv @ self.g4 @ wfinv).reshape(self.g.shape).T
-        return grad, hess
+    def sections(self, root):
+        """The scaled coefficients L^T G_i L, (n, B, s, s)."""
+        return root.transpose(0, 2, 1) @ self.g4 @ root
+
+    def grad_hess(self, fac):
+        scaled = fac[1]
+        wscaled = self.w[:, None, None] * scaled
+        grad = -np.trace(wscaled, axis1=2, axis2=3).sum(axis=1)
+        return grad, wscaled.reshape(len(scaled), -1) @ scaled.reshape(len(scaled), -1).T
+
+    def slopes(self, fac, dx):
+        """Eigenvalues of F^-1/2 dF F^-1/2 along dx, with their weights."""
+        scaled = fac[1]
+        mu = np.linalg.eigvalsh((dx @ scaled.reshape(len(dx), -1)).reshape(scaled.shape[1:]))
+        return mu.reshape(-1), np.repeat(self.w, mu.shape[-1])
 
 
 class _DiagCone(_Cone):
-    """The 1x1 blocks as scalar rows d = f0 + g^T x > 0: f0 is (B,), g is (n, B)."""
+    """The 1x1 blocks as scalar rows d = f0 + g^T x > 0: f0 is (B,), g is (n, B).
 
-    def barrier(self, x):
+    The scaled sections are the rows g / d.
+    """
+
+    def factor(self, x):
         d = self.values(x)
-        if not np.all(d > 0):
-            return np.inf
-        return -float(self.w @ np.log(d))
+        if not d.min() > 0:
+            return None
+        return -float(self.w @ np.log(d)), self.g / d
 
-    def grad_hess(self, x):
-        gd = self.g / self.values(x)
+    def grad_hess(self, fac):
+        gd = fac[1]
         return -(gd @ self.w), (gd * self.w) @ gd.T
+
+    def slopes(self, fac, dx):
+        return dx @ fac[1], self.w
 
 
 class _CongruenceCone(_Cone):
     """Blocks F_b = c_b I + sigma_b R_b X R_b in X = smat(x); roots is (B, d, d).
+
+    factor(x) keeps the R-sections R_b L_b, L_b = V_b diag(lam_b^-1/2), so
+    W_b = R_b F_b^-1 R_b is their Gram product and the line matrix along
+    dX is sigma_b (R_b L_b)^T dX (R_b L_b).
 
     Entry ((i,k),(j,l)) of sum_b w_b vec(W_b) vec(W_b)^T is the Kronecker
     entry ((i,j),(k,l)) of sum_b w_b W_b (x) W_b; a vecm coordinate sits at
@@ -208,11 +235,22 @@ class _CongruenceCone(_Cone):
     def values(self, x):
         return self.f0 + self.left @ self.smat(x) @ self.roots
 
-    def grad_hess(self, x):
-        wb = (self.roots @ np.linalg.inv(self.values(x)) @ self.roots).reshape(len(self.w), -1)
+    def sections(self, root):
+        """The R-sections R_b L_b, (B, d, d)."""
+        return self.roots @ root
+
+    def grad_hess(self, fac):
+        rsec = fac[1]
+        wb = (rsec @ rsec.transpose(0, 2, 1)).reshape(len(self.w), -1)
         grad = -(self.basis @ ((self.w * self.signs) @ wb))
         kron = ((self.w[:, None] * wb).T @ wb).reshape(-1)
         return grad, self.pair * (kron[self.hess_at[0]] + kron[self.hess_at[1]])
+
+    def slopes(self, fac, dx):
+        rsec = fac[1]
+        mu = np.linalg.eigvalsh(self.signs[:, None, None]
+                                * (rsec.transpose(0, 2, 1) @ self.smat(dx) @ rsec))
+        return mu.reshape(-1), np.repeat(self.w, mu.shape[-1])
 
 
 def _group_blocks(blocks, weights=None):
@@ -242,36 +280,81 @@ def _box_blocks(n, nvar, box):
     return list(blk)
 
 
-def _potential(cones, c_lin, x):
-    """c_lin.x plus the cone barriers; inf as soon as one cone leaves its domain."""
-    bar = 0.0
+def _factor(cones, c_lin, x):
+    """(potential, factors) at x: c_lin.x plus the cone barriers, and every
+    cone's factor; (inf, None) as soon as one cone leaves its domain."""
+    phi = float(c_lin @ x)
+    facs = []
     for cone in cones:
-        b = cone.barrier(x)
-        if b == np.inf:
-            return np.inf
-        bar += b
-    return float(c_lin @ x) + bar
+        fac = cone.factor(x)
+        if fac is None:
+            return np.inf, None
+        phi += fac[0]
+        facs.append(fac)
+    return phi, facs
+
+
+def _line_min(c_dx, mu, w):
+    """Minimizer of h(a) = a c_dx - sum w log(1 + a mu) over 0 < a < a_max.
+
+    h is the potential along a Newton direction less its value at a = 0,
+    with mu the eigenvalues of F^-1/2 dF F^-1/2 over every block; the first
+    block leaves the cone at a_max = -1/min mu, never if no mu is negative.
+    h is convex with h'(0) < 0, so the root of h' is kept in a bracket
+    [lo, hi] with h'(lo) < 0 <= h'(hi), bisecting whenever a step would
+    leave it. The step goes to the root of the model p + q/(a_max - a) that
+    matches h' and h'' at a: it keeps the pole of the nearest block exactly,
+    where plain Newton creeps toward it.
+    """
+    neg = float(mu.min())
+    if neg >= 0 and c_dx <= 0:
+        # h' < 0 everywhere: no block ever leaves the cone
+        raise NumericalFailure("potential unbounded along the Newton direction")
+    a_max = -1.0 / neg if neg < 0 else np.inf
+    lo, hi = 0.0, a_max
+    a = 1.0 if a_max > 1.0 else 0.5 * a_max
+    for _ in range(64):
+        r = mu / (1.0 + a * mu)
+        d1 = c_dx - float(w @ r)
+        d2 = float(w @ (r * r))
+        if d1 < 0:
+            lo = a
+        else:
+            hi = a
+        # the model root as a step from a; a Newton step when a_max is inf
+        den = d2 - d1 / (a_max - a)
+        nxt = a - d1 / den if den > 0 else hi
+        if abs(nxt - a) <= 1e-9 * a:
+            return a
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi) if hi < np.inf else 2.0 * a
+        a = nxt
+    return a
 
 
 def _center(cones, c_lin, x0, eq_a=None, inner_tol=1e-10, max_newton=120):
     """Newton minimization of c_lin.x + sum of weighted block barriers.
 
     x0 must satisfy the equalities; Newton steps stay in their null space.
-    Each trial point costs one factorization per cone, and the accepted
-    trial's potential is the next step's starting potential.
+    Each iterate is factored once per cone, which gives the potential, the
+    gradient and Hessian, and the eigenvalues of the blocks along the Newton
+    direction dx. While the Newton decrement lambda exceeds 1/4 the step is
+    the exact minimizer of the potential along dx (_line_min); from there on
+    it is the full step, which stays inside the Dikin ellipsoid and keeps
+    the quadratic convergence exact. A converged iterate returns x + dx.
     Returns (x, mult, steps) where mult are the equality multipliers.
     """
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
-    phi0 = _potential(cones, c_lin, x)
-    if phi0 == np.inf:
+    phi, facs = _factor(cones, c_lin, x)
+    if facs is None:
         raise NumericalFailure("centering started outside the cone domain")
     mult = None
     for step in range(max_newton):
         grad = c_lin.copy()
         hess = np.zeros((n, n))
-        for cone in cones:
-            g, h = cone.grad_hess(x)
+        for cone, fac in zip(cones, facs):
+            g, h = cone.grad_hess(fac)
             grad += g
             hess += h
         hess = 0.5 * (hess + hess.T)
@@ -297,30 +380,24 @@ def _center(cones, c_lin, x0, eq_a=None, inner_tol=1e-10, max_newton=120):
         dx = sol[:n]
         mult = sol[n:] if eq_a is not None else None
         decrement = float(dx @ hess @ dx)
-        if decrement <= 2 * inner_tol:
-            return x, mult, step
         # the predicted decrease is about half the decrement; once it drops
         # below the floating point resolution of the potential no further
         # progress is representable, however large the path weight got
-        if decrement <= 64.0 * np.finfo(float).eps * (1.0 + abs(phi0)):
-            return x, mult, step
-        # damped step for large decrements keeps the iterate off the cone
-        # boundary; plain backtracking from 1 can dive into it and stall
-        lam = np.sqrt(max(decrement, 0.0))
-        alpha = 1.0 if lam <= 0.25 else 1.0 / (1.0 + lam)
-        slope = float(grad @ dx)
-        for _ in range(80):
-            xn = x + alpha * dx
-            phin = _potential(cones, c_lin, xn)
-            if phin < np.inf and (phin <= phi0 + 0.25 * alpha * slope or alpha < 1e-14):
-                break
-            alpha *= 0.5
+        if decrement <= 2 * inner_tol or decrement <= 64.0 * np.finfo(float).eps * (1.0 + abs(phi)):
+            return x + dx, mult, step
+        if decrement <= 0.0625:
+            alpha = 1.0
         else:
-            raise NumericalFailure("line search failed during centering")
+            parts = [cone.slopes(fac, dx) for cone, fac in zip(cones, facs)]
+            mu, w = map(np.concatenate, zip(*parts))
+            alpha = _line_min(float(c_lin @ dx), mu, w)
+        xn = x + alpha * dx
         if np.array_equal(xn, x):
             return x, mult, step
         x = xn
-        phi0 = phin
+        phi, facs = _factor(cones, c_lin, x)
+        if facs is None:
+            raise NumericalFailure("Newton step left the cone domain during centering")
     raise NumericalFailure("Newton iteration cap exceeded during centering")
 
 

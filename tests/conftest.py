@@ -229,4 +229,63 @@ class StackedCongruenceCone(sdp._CongruenceCone):
         self.g4 = self.g.reshape((len(self.g),) + self.f0.shape)
 
     values = sdp._Cone.values
+    sections = sdp._Cone.sections
     grad_hess = sdp._Cone.grad_hess
+    slopes = sdp._Cone.slopes
+
+
+def newton_direction(cones, c_lin, x, eq_a=None):
+    """(dx, dx' H dx) for c_lin.x plus the cone barriers at x: the Newton
+    step in the null space of eq_a and its squared decrement."""
+    n = x.size
+    grad, hess = np.array(c_lin, dtype=float), np.zeros((n, n))
+    for cone in cones:
+        g, h = cone.grad_hess(cone.factor(x))
+        grad += g
+        hess += h
+    hess = 0.5 * (hess + hess.T)
+    m = 0 if eq_a is None else eq_a.shape[0]
+    kkt = np.zeros((n + m, n + m))
+    kkt[:n, :n] = hess
+    if m:
+        kkt[:n, n:] = eq_a.T
+        kkt[n:, :n] = eq_a
+    dx = np.linalg.solve(kkt, np.concatenate([-grad, np.zeros(m)]))[:n]
+    return dx, float(dx @ hess @ dx)
+
+
+def damped_center(cones, c_lin, x0, eq_a=None, inner_tol=1e-10, max_newton=120):
+    """Damped Newton centering as sdp._center ran it before its exact line
+    search: the step starts at 1/(1 + lambda) while the decrement lambda
+    exceeds 1/4 and at 1 after, and halves until the Armijo test holds, the
+    potential of each trial read from the cones' factors. Returns (x, steps)
+    at the first iterate that passes the stopping tests, whose own Newton
+    step is not taken."""
+    def potential(x):
+        facs = [cone.factor(x) for cone in cones]
+        if any(fac is None for fac in facs):
+            return np.inf
+        return float(c_lin @ x) + sum(fac[0] for fac in facs)
+
+    x = np.asarray(x0, dtype=float).copy()
+    phi = potential(x)
+    assert phi < np.inf
+    for step in range(max_newton):
+        dx, decrement = newton_direction(cones, c_lin, x, eq_a)
+        if decrement <= 2 * inner_tol or decrement <= 64.0 * np.finfo(float).eps * (1.0 + abs(phi)):
+            return x, step
+        lam = np.sqrt(decrement)
+        alpha = 1.0 if lam <= 0.25 else 1.0 / (1.0 + lam)
+        # the directional derivative along a Newton step is -decrement
+        for _ in range(80):
+            xn = x + alpha * dx
+            phin = potential(xn)
+            if phin < np.inf and (phin <= phi - 0.25 * alpha * decrement or alpha < 1e-14):
+                break
+            alpha *= 0.5
+        else:
+            raise AssertionError("line search failed")
+        if np.array_equal(xn, x):
+            return x, step
+        x, phi = xn, phin
+    raise AssertionError("Newton iteration cap exceeded")

@@ -106,6 +106,16 @@ class TestSqrtRank:
         with pytest.raises(ResourceError, match=r"\d+ free bits"):
             bounds.sqrt_rank_exact(m, budget=2)
 
+    def test_budget_error_past_the_int_to_str_limit(self):
+        # 14 400 free bits: 2 ** 14400 has more decimal digits than
+        # int-to-str conversion allows, so the error names only the bits
+        m = np.random.default_rng(0).uniform(1, 2, (121, 121))
+        with pytest.raises(ResourceError, match=r"14400 free bits"):
+            bounds.sqrt_rank_exact(m)
+        iv = bounds.psd_rank_interval(m)
+        assert iv.lower <= iv.upper == 121
+        assert all(c.get("kind") != "sqrt-rank" for c in iv.certificates if c)
+
     def test_witness_invariants(self):
         m = families.euclidean_distance(5)
         res = bounds.sqrt_rank_exact(m)

@@ -69,6 +69,12 @@ class TestBounds:
         found = [c for c in doc["certificates"] if c and c.get("kind") == "ellipse"]
         assert found and found[0]["answer"] is None
 
+    def test_sign_search_over_budget_falls_back_to_cheap_upper_bound(self, tmp_path, capsys):
+        m = np.random.default_rng(0).uniform(1, 2, (121, 121))
+        code, doc = run(capsys, ["bounds", write_matrix(tmp_path, m)])
+        assert code == 0
+        assert doc["lower"] <= doc["upper"] == 121
+
     def test_malformed_input(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{oops")

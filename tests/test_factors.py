@@ -391,6 +391,11 @@ class TestExplicitFamilies:
             f = factors.derangement_factorization(n)
             assert factors.verify(derangement(n), f).passed
 
+    def test_generator_refuses_non_integral_size(self):
+        assert factors.derangement_factorization(3.0).k == 2
+        with pytest.raises(InputError, match="integer"):
+            factors.derangement_factorization(2.5)
+
     def test_hermitian4_matches_catalog(self, catalog):
         f = factors.hermitian_derangement4()
         ref = catalog[2].factorization

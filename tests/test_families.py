@@ -170,6 +170,13 @@ class TestKnownFacts:
         facts = families.known_facts("cos2", [5])
         assert facts == {"rank": 3, "psd_rank": 2, "sqrt_rank": 2}
 
+    @pytest.mark.parametrize("tag, params", [("derangement", [2.5]), ("identity", [4.5]),
+                                             ("euclidean", [3.5]), ("partition", [5.5, 12, 13]),
+                                             ("cos2", [5.5])])
+    def test_non_integral_member_refused(self, tag, params):
+        with pytest.raises(InputError, match="integer"):
+            families.known_facts(tag, params)
+
     def test_circulant_region_split(self):
         assert families.known_facts("circulant3", [1, 1, 4])["psd_rank"] == 2
         assert families.known_facts("circulant3", [1, 0.1, 0.1])["psd_rank"] == 3

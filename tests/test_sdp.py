@@ -5,7 +5,7 @@ from psdrank import factors, families, geometry, linalg, sdp
 from psdrank.errors import DomainError, InputError, NumericalFailure
 from psdrank.sdp import SdpParams, SdpProblem
 
-from conftest import StackedCongruenceCone, coefficient_blocks
+from conftest import StackedCongruenceCone, coefficient_blocks, damped_center, newton_direction
 
 
 def sym(rng, s, scale=1.0):
@@ -244,9 +244,10 @@ class TestBarrierKernel:
             ref = np.array([v for v in ref_values if v.shape[0] == s])
             got = cone.values(x).reshape(ref.shape)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-        bar = sum(cone.barrier(x) for cone in self.cones)
-        grad = sum(cone.grad_hess(x)[0] for cone in self.cones)
-        hess = sum(cone.grad_hess(x)[1] for cone in self.cones)
+        facs = [cone.factor(x) for cone in self.cones]
+        bar = sum(fac[0] for fac in facs)
+        grad = sum(cone.grad_hess(fac)[0] for cone, fac in zip(self.cones, facs))
+        hess = sum(cone.grad_hess(fac)[1] for cone, fac in zip(self.cones, facs))
         assert abs(bar - ref_bar) <= 1e-12 * max(1.0, abs(ref_bar))
         assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
         assert np.max(np.abs(hess - ref_hess)) <= 1e-12 * np.max(np.abs(ref_hess))
@@ -266,12 +267,12 @@ class TestBarrierKernel:
                 if outside is not None:
                     break
             assert outside is not None
-            assert cone.barrier(outside) == np.inf
+            assert cone.factor(outside) is None
             assert self.reference(outside)[1] == np.inf
 
     def test_potential_and_center_reject_outside_start(self):
         x = self.x_in + 1e4 * np.ones(self.n)
-        assert sdp._potential(self.cones, np.zeros(self.n), x) == np.inf
+        assert sdp._factor(self.cones, np.zeros(self.n), x) == (np.inf, None)
         with pytest.raises(NumericalFailure):
             sdp._center(self.cones, np.zeros(self.n), x)
 
@@ -306,8 +307,9 @@ class TestCongruenceCone:
             x = linalg.vecm((q * rng.uniform(0.1, 0.5, d)) @ q.T)
             v_ref = ref.values(x)
             assert np.max(np.abs(new.values(x) - v_ref)) <= 1e-10 * np.max(np.abs(v_ref))
-            assert abs(new.barrier(x) - ref.barrier(x)) <= 1e-10 * max(1.0, abs(ref.barrier(x)))
-            (g_new, h_new), (g_ref, h_ref) = new.grad_hess(x), ref.grad_hess(x)
+            f_new, f_ref = new.factor(x), ref.factor(x)
+            assert abs(f_new[0] - f_ref[0]) <= 1e-10 * max(1.0, abs(f_ref[0]))
+            (g_new, h_new), (g_ref, h_ref) = new.grad_hess(f_new), ref.grad_hess(f_ref)
             assert np.max(np.abs(g_new - g_ref)) <= 1e-10 * np.max(np.abs(g_ref))
             assert np.max(np.abs(h_new - h_ref)) <= 1e-10 * np.max(np.abs(h_ref))
             assert np.array_equal(new.smat(x), linalg.sym(new.smat(x)))
@@ -343,6 +345,128 @@ class TestCongruenceCone:
         res = sdp.min_volume_shape([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.ones((2, 2))])
         assert len(counted) > 1
         assert res.newton_steps == sum(counted)
+
+
+class TestLineMin:
+    """The exact line minimizer against the potential on a dense grid."""
+
+    @staticmethod
+    def line_potential(cones, c_lin, x, dx, alphas):
+        base = sdp._factor(cones, c_lin, x)[0]
+        return np.array([sdp._factor(cones, c_lin, x + a * dx)[0] - base for a in alphas])
+
+    @pytest.mark.parametrize("bounded", [True, False])
+    def test_matches_dense_grid(self, bounded):
+        rng = np.random.default_rng(37)
+        n = 4
+        if bounded:
+            # a Newton direction of a far-off potential: some block leaves
+            # the cone at a finite a_max
+            problem, x = feasible_problem(rng, n, [3, 1, 2, 1, 2])
+            cones = sdp._group_blocks(problem.blocks)
+            c_lin = 30.0 * rng.standard_normal(n)
+            dx = newton_direction(cones, c_lin, x)[0]
+        else:
+            # every block is S_b + x_0 I + ...: along e_0 every block grows
+            blocks = []
+            for s in (3, 1, 2, 1, 2):
+                r = rng.standard_normal((s, s))
+                blocks.append(np.stack([r @ r.T + 0.5 * np.eye(s), np.eye(s)]
+                                       + [sym(rng, s) for _ in range(n - 1)]))
+            cones = sdp._group_blocks(blocks)
+            x, dx = np.zeros(n), np.eye(n)[0]
+            c_lin = np.zeros(n)
+        facs = sdp._factor(cones, c_lin, x)[1]
+        mu, w = map(np.concatenate, zip(*(cone.slopes(fac, dx) for cone, fac in zip(cones, facs))))
+        if not bounded:
+            c_lin[0] = 0.3 * float(w @ mu)
+        assert (mu.min() < 0) == bounded
+        a_max = -1.0 / mu.min() if bounded else 50.0
+        alpha = sdp._line_min(float(c_lin @ dx), mu, w)
+        grid = np.linspace(0.0, a_max, 5001)[1:-1]
+        h = self.line_potential(cones, c_lin, x, dx, grid)
+        best = int(np.argmin(h))
+        assert 0 < best < grid.size - 1
+        assert abs(alpha - grid[best]) <= 2.0 * (grid[1] - grid[0])
+        h_alpha = self.line_potential(cones, c_lin, x, dx, [alpha])[0]
+        assert h_alpha <= h[best] + 1e-12 * (1.0 + abs(h[best]))
+
+    def test_unbounded_line_raises(self):
+        # no mu is negative, so no block ever leaves the cone: a positive
+        # c.dx still bounds h below, a negative one leaves h' < 0 everywhere
+        assert sdp._line_min(0.1, np.array([0.5, 2.0]), np.ones(2)) > 0
+        with pytest.raises(NumericalFailure):
+            sdp._line_min(-1.0, np.array([0.5, 2.0]), np.ones(2))
+
+    def test_far_pole_from_rounding_keeps_the_minimizer(self):
+        # eigenvalues of +-1e-22 left by rounding put a_max near 7e21
+        mu = np.array([0.68, 0.68, 0.45, -1.4e-22, 1.4e-22])
+        w = np.ones(mu.size)
+        clean = sdp._line_min(0.68, mu[:3], w[:3])
+        assert 0.5 < clean < 50.0
+        assert abs(sdp._line_min(0.68, mu, w) - clean) <= 1e-9 * clean
+
+
+class TestCentering:
+    """_center against the damped Newton reference of conftest."""
+
+    @staticmethod
+    def case(kind):
+        if kind == "congruence":
+            # a John program stage: own block X >= 0 at weight 50, I - R X R
+            rng = np.random.default_rng(31)
+            d, nb = 3, 5
+            roots = np.concatenate([np.eye(d)[None], TestCongruenceCone.roots(rng, d, nb)])
+            cone = sdp._CongruenceCone(np.r_[0.0, np.ones(nb)], roots, np.r_[1.0, -np.ones(nb)],
+                                       np.r_[50.0, np.ones(nb)])
+            return [cone], np.zeros(d * (d + 1) // 2), linalg.vecm(0.5 * np.eye(d)), None
+        # mixed 1x1, 2x2 and 3x3 blocks in a box, far from the center of a
+        # steep linear term
+        rng = np.random.default_rng(29)
+        n = 4
+        problem, x0 = feasible_problem(rng, n, TestBarrierKernel.SIZES)
+        blocks = problem.blocks + sdp._box_blocks(n, n, 10.0)
+        cones = sdp._group_blocks(blocks, rng.uniform(0.5, 3.0, len(blocks)))
+        eq_a = rng.standard_normal((1, n)) if kind == "blocks-eq" else None
+        return cones, 20.0 * rng.standard_normal(n), x0, eq_a
+
+    @pytest.mark.parametrize("kind", ["blocks", "blocks-eq", "congruence"])
+    def test_matches_damped_reference_in_fewer_steps(self, kind):
+        cones, c_lin, x0, eq_a = self.case(kind)
+        x, _, steps = sdp._center(cones, c_lin, x0, eq_a)
+        _, ref_steps = damped_center(cones, c_lin, x0, eq_a)
+        # the reference run to float resolution, then its last Newton step
+        x_ref, _ = damped_center(cones, c_lin, x0, eq_a, inner_tol=0.0)
+        x_ref = x_ref + newton_direction(cones, c_lin, x_ref, eq_a)[0]
+        assert np.max(np.abs(x - x_ref)) <= 1e-9 * np.max(np.abs(x_ref))
+        assert steps < ref_steps
+        if eq_a is not None:
+            assert np.max(np.abs(eq_a @ (x - x0))) <= 1e-12 * (1.0 + np.max(np.abs(x0)))
+
+    @pytest.mark.parametrize("kind", ["blocks", "blocks-eq", "congruence"])
+    def test_returned_point_is_centered(self, kind):
+        cones, c_lin, x0, eq_a = self.case(kind)
+        x, _, _ = sdp._center(cones, c_lin, x0, eq_a, inner_tol=1e-10)
+        assert newton_direction(cones, c_lin, x, eq_a)[1] <= 1e-10
+
+    @pytest.mark.parametrize("kind", ["blocks", "blocks-eq", "congruence"])
+    def test_quadratic_phase_takes_full_steps(self, kind, monkeypatch):
+        cones, c_lin, x0, eq_a = self.case(kind)
+        center, _, _ = sdp._center(cones, c_lin, x0, eq_a)
+        # back off from the start toward the center until the decrement is
+        # below 1/16, where every later decrement stays
+        start = x0
+        while newton_direction(cones, c_lin, start, eq_a)[1] > 0.05:
+            start = 0.5 * (start + center)
+        assert newton_direction(cones, c_lin, start, eq_a)[1] > 1e-4
+
+        def no_line_search(*args):
+            raise AssertionError("line search in the quadratic phase")
+
+        monkeypatch.setattr(sdp, "_line_min", no_line_search)
+        x, _, steps = sdp._center(cones, c_lin, start, eq_a)
+        assert steps >= 2
+        assert np.max(np.abs(x - center)) <= 1e-9 * np.max(np.abs(center))
 
 
 class TestEllipseSection:
