@@ -146,7 +146,6 @@ def encode_problem(pb) -> dict:
     return {
         "n": pb.n,
         "blocks": [[encode_matrix(g) for g in blk] for blk in pb.blocks],
-        "c": None if pb.c is None else [float(x) for x in pb.c],
         "eq_a": None if pb.eq_a is None else encode_matrix(pb.eq_a),
         "eq_d": None if pb.eq_d is None else [float(x) for x in pb.eq_d],
     }
@@ -160,12 +159,13 @@ def decode_problem(obj):
     n = int(obj["n"])
     blocks = [[decode_matrix(g, "block term") for g in blk] for blk in obj["blocks"]]
     c = obj.get("c")
+    if c is not None and (not isinstance(c, list) or any(_entry_in(x, "c") != 0 for x in c)):
+        raise InputError("problem: only feasibility is solved; c must be absent or zero")
     eq_a = obj.get("eq_a")
     eq_d = obj.get("eq_d")
     return SdpProblem(
         n,
         blocks,
-        c=None if c is None else np.array([float(x) for x in c]),
         eq_a=None if eq_a is None else decode_matrix(eq_a, "eq_a"),
         eq_d=None if eq_d is None else np.array([float(x) for x in eq_d]),
     )

@@ -10,7 +10,7 @@ factorization through a fixed linear section of the 2x2 psd cone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -299,7 +299,6 @@ def decide_psd_rank_le_2(m, params: sdp.SdpParams | None = None):
 
     pair = polytopes_from_matrix(mm)
     problem = ellipse_program(pair)
-    params = replace(params or sdp.SdpParams(), feasibility_point="margin")
     sol = sdp.solve(problem, params)
     if sol.status == "feasible":
         return True, _solution_to_ellipse(sol.x, pair.outer.offsets.size)
@@ -308,22 +307,6 @@ def decide_psd_rank_le_2(m, params: sdp.SdpParams | None = None):
     raise NumericalFailure(
         f"ellipse program undecided (margin {sol.margin}, gap {sol.gap})"
     )
-
-
-def ellipse_path(e0: Ellipse, e1: Ellipse, t: float) -> Ellipse:
-    """Convex combination of two certificates for the same pair; the combined
-    form is renormalized to unit trace and inherits combined multipliers."""
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise InputError("path parameter must lie in [0, 1]")
-    if e0.multipliers.size != e1.multipliers.size:
-        raise InputError("certificates have different facet counts")
-    theta = (1 - t) * e0.theta + t * e1.theta
-    lams = (1 - t) * e0.multipliers + t * e1.multipliers
-    tr = float(np.trace(theta[:2, :2]))
-    if tr <= 0:
-        raise DomainError("combined form has nonpositive trace")
-    return Ellipse(theta / tr, lams / tr)
 
 
 # ---------------------------------------------------------------------------
@@ -405,36 +388,3 @@ def factorization_from_ellipse(m, pair: SandwichPair, e: Ellipse,
         cols.append(_section_adjoint(y))
     return make_factorization(rows, cols, "real")
 
-
-# ---------------------------------------------------------------------------
-# ready-made pairs
-
-
-def square_pair() -> SandwichPair:
-    """Unit square against itself, ordered so the slack matrix is the
-    circulant 0/1 square slack matrix."""
-    verts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-    normals = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
-    offsets = [1.0, 1.0, 0.0, 0.0]
-    return SandwichPair(PolytopeV(verts), PolyhedronH(normals, offsets))
-
-
-def nested_rectangles_pair(a: float, b: float) -> SandwichPair:
-    """[-a, a] x [-b, b] inside [-1, 1]^2 with the standard facet order."""
-    a, b = float(a), float(b)
-    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-        raise InputError("rectangle half-widths must lie in [0, 1]")
-    verts = [(a, b), (-a, b), (-a, -b), (a, -b)]
-    normals = [(-1.0, 0.0), (0.0, -1.0), (1.0, 0.0), (0.0, 1.0)]
-    offsets = [1.0, 1.0, 1.0, 1.0]
-    return SandwichPair(PolytopeV(verts), PolyhedronH(normals, offsets))
-
-
-def centered_square_pair(half: float = 1.0, outer_half: float = 2.0) -> SandwichPair:
-    """Square [-half, half]^2 inside [-outer, outer]^2; slack rows follow the
-    vertex order (-,-), (-,+), (+,+), (+,-) and facet order +y, +x, -y, -x."""
-    h, o = float(half), float(outer_half)
-    verts = [(-h, -h), (-h, h), (h, h), (h, -h)]
-    normals = [(0.0, 1.0), (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0)]
-    offsets = [o, o, o, o]
-    return SandwichPair(PolytopeV(verts), PolyhedronH(normals, offsets))

@@ -1,13 +1,15 @@
-"""Small dense semidefinite solver over block LMI constraints.
+"""Small dense semidefinite feasibility solver over block LMI constraints.
 
 Problems are affine sections of psd cones: each block is a coefficient list
-(F0, F1, .., Fn) meaning F0 + sum_i x_i F_i >= 0, with an optional linear
-objective and linear equalities. The solver is a plain logarithmic-barrier
-path follower with Newton centering; feasibility is decided through an
-always-strictly-feasible max-margin reformulation whose dual supplies a
-separation certificate on the infeasible side. Everything is dense and
-deterministic; intended for block sizes up to ~30 and a few hundred
-variables.
+(F0, F1, .., Fn) meaning F0 + sum_i x_i F_i >= 0, with optional linear
+equalities. solve decides whether the section is nonempty through an
+always-strictly-feasible max-margin reformulation: maximize tau subject to
+every block minus tau I staying psd, in a box |x_i| <= BOX. A plain
+logarithmic-barrier path follower with Newton centering runs it; its
+iterate is the answer on the feasible side, and on the infeasible side the
+barrier's dual, normalized to trace 1 and re-verified, is a separating
+certificate. Everything is dense and deterministic; intended for block
+sizes up to ~30 and a few hundred variables.
 
 The barrier kernel groups blocks by size and keeps each group's
 coefficients flattened, one row per variable, so a section is
@@ -39,24 +41,29 @@ import numpy as np
 from . import linalg
 from .errors import InputError, NumericalFailure
 
+# a separating dual is reported only if its value reaches -CERT_TOL
+CERT_TOL = 1e-6
+# centering ends once the squared Newton decrement is at most 2 INNER_TOL
+INNER_TOL = 1e-10
+# growth of the barrier path parameter per centering stage
+MU = 20.0
+MAX_NEWTON = 120
+# half-width of the box on the variables of the max-margin program
+BOX = 1e6
+# relative polar slack at which min_volume_shape ends its path
+SLACK_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class SdpParams:
     gap_tol: float = 1e-8
     feas_tol: float = 1e-7
-    cert_tol: float = 1e-6
-    inner_tol: float = 1e-10
-    mu: float = 20.0
-    max_newton: int = 120
-    box: float = 1e6
-    feasibility_point: str = "least_norm"  # or "margin"
 
 
 @dataclass
 class SdpProblem:
     n: int
     blocks: list
-    c: np.ndarray | None = None
     eq_a: np.ndarray | None = None
     eq_d: np.ndarray | None = None
 
@@ -68,12 +75,6 @@ class SdpProblem:
         if not clean:
             raise InputError("problem has no constraint blocks")
         self.blocks = clean
-        if self.c is None:
-            self.c = np.zeros(self.n)
-        else:
-            self.c = np.asarray(self.c, dtype=float).reshape(-1)
-            if self.c.size != self.n:
-                raise InputError("objective length does not match variable count")
         if (self.eq_a is None) != (self.eq_d is None):
             raise InputError("equalities need both a matrix and an rhs")
         if self.eq_a is not None:
@@ -107,11 +108,8 @@ class SdpSolution:
     status: str
     x: np.ndarray | None
     block_margins: np.ndarray | None
-    value: float | None = None
     margin: float | None = None
     gap: float | None = None
-    duals: list | None = None
-    eq_dual: np.ndarray | None = None
     certificate: dict | None = None
     newton_steps: int = 0
 
@@ -332,7 +330,7 @@ def _line_min(c_dx, mu, w):
     return a
 
 
-def _center(cones, c_lin, x0, eq_a=None, inner_tol=1e-10, max_newton=120):
+def _center(cones, c_lin, x0, eq_a=None):
     """Newton minimization of c_lin.x + sum of weighted block barriers.
 
     x0 must satisfy the equalities; Newton steps stay in their null space.
@@ -342,15 +340,14 @@ def _center(cones, c_lin, x0, eq_a=None, inner_tol=1e-10, max_newton=120):
     the exact minimizer of the potential along dx (_line_min); from there on
     it is the full step, which stays inside the Dikin ellipsoid and keeps
     the quadratic convergence exact. A converged iterate returns x + dx.
-    Returns (x, mult, steps) where mult are the equality multipliers.
+    Returns (x, steps).
     """
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
     phi, facs = _factor(cones, c_lin, x)
     if facs is None:
         raise NumericalFailure("centering started outside the cone domain")
-    mult = None
-    for step in range(max_newton):
+    for step in range(MAX_NEWTON):
         grad = c_lin.copy()
         hess = np.zeros((n, n))
         for cone, fac in zip(cones, facs):
@@ -378,13 +375,12 @@ def _center(cones, c_lin, x0, eq_a=None, inner_tol=1e-10, max_newton=120):
         else:
             raise NumericalFailure("singular KKT system during centering")
         dx = sol[:n]
-        mult = sol[n:] if eq_a is not None else None
         decrement = float(dx @ hess @ dx)
         # the predicted decrease is about half the decrement; once it drops
         # below the floating point resolution of the potential no further
         # progress is representable, however large the path weight got
-        if decrement <= 2 * inner_tol or decrement <= 64.0 * np.finfo(float).eps * (1.0 + abs(phi)):
-            return x + dx, mult, step
+        if decrement <= 2 * INNER_TOL or decrement <= 64.0 * np.finfo(float).eps * (1.0 + abs(phi)):
+            return x + dx, step
         if decrement <= 0.0625:
             alpha = 1.0
         else:
@@ -393,7 +389,7 @@ def _center(cones, c_lin, x0, eq_a=None, inner_tol=1e-10, max_newton=120):
             alpha = _line_min(float(c_lin @ dx), mu, w)
         xn = x + alpha * dx
         if np.array_equal(xn, x):
-            return x, mult, step
+            return x, step
         x = xn
         phi, facs = _factor(cones, c_lin, x)
         if facs is None:
@@ -406,14 +402,13 @@ def _center(cones, c_lin, x0, eq_a=None, inner_tol=1e-10, max_newton=120):
 
 
 def solve(problem: SdpProblem, params: SdpParams | None = None) -> SdpSolution:
-    """Decide feasibility or minimize the objective over the block section.
+    """Decide whether the block section of problem is nonempty.
 
-    Feasibility (zero objective) answers through a max-margin phase whose
-    optimum sign is conclusive; strictly feasible problems then return a
-    least-norm interior point unless params.feasibility_point == "margin".
-    Optimization runs a barrier path from the margin point. Infeasible
-    statuses carry a dual separation certificate, re-verified numerically
-    before being reported; everything is deterministic.
+    The status is "feasible" with the max-margin point x, whose block
+    margins are at least -feas_tol; "infeasible" with a certificate that was
+    re-verified numerically (inconsistent equalities, or a trace-1
+    separating dual of value at most -CERT_TOL); or "numerical-failure"
+    when the margin and the dual settle neither answer. Deterministic.
     """
     params = params or SdpParams()
     p = problem
@@ -433,11 +428,10 @@ def solve(problem: SdpProblem, params: SdpParams | None = None) -> SdpSolution:
                 "residual": float(np.linalg.norm(p.eq_a.T @ y)),
                 "scale": max(1.0, float(np.max(np.abs(p.eq_a)))),
             }
-            if cert["value"] <= -params.cert_tol and cert["residual"] <= params.feas_tol * cert["scale"]:
-                return SdpSolution("infeasible", None, None, certificate=cert)
-            return SdpSolution("numerical-failure", None, None, certificate=cert)
+            status = "infeasible" if _certified(cert, params) else "numerical-failure"
+            return SdpSolution(status, None, None, certificate=cert)
 
-    if np.max(np.abs(x_eq), initial=0.0) > 0.9 * params.box:
+    if np.max(np.abs(x_eq), initial=0.0) > 0.9 * BOX:
         return SdpSolution("numerical-failure", None, None)
 
     margin_sol = _max_margin(p, params, x_eq)
@@ -449,37 +443,22 @@ def solve(problem: SdpProblem, params: SdpParams | None = None) -> SdpSolution:
 
     if tau + gap < -params.feas_tol:
         cert = margin_sol.certificate
-        if (cert is not None and cert["value"] <= -params.cert_tol
-                and cert["residual"] <= params.feas_tol * cert["scale"]):
-            return SdpSolution("infeasible", None, None, margin=tau, gap=gap,
-                               certificate=cert, newton_steps=steps)
-        return SdpSolution("numerical-failure", None, None, margin=tau, gap=gap,
+        status = "infeasible" if _certified(cert, params) else "numerical-failure"
+        return SdpSolution(status, None, None, margin=tau, gap=gap,
                            certificate=cert, newton_steps=steps)
 
     if tau < -params.feas_tol:
         return SdpSolution("numerical-failure", None, None, margin=tau, gap=gap, newton_steps=steps)
 
-    x_margin = margin_sol.x
-    feasibility = not np.any(p.c)
-    # every block margin at the iterate strictly exceeds its tau value
-    strict = tau > 1e-9
+    margins = p.margins(margin_sol.x)
+    return SdpSolution("feasible", margin_sol.x, margins, margin=float(margins.min()),
+                       gap=gap, newton_steps=steps)
 
-    if feasibility:
-        x_out = x_margin
-        if strict and params.feasibility_point == "least_norm":
-            try:
-                x_out, extra = _least_norm(p, params, x_margin)
-                steps += extra
-            except NumericalFailure:
-                x_out = x_margin
-        margins = p.margins(x_out)
-        return SdpSolution("feasible", x_out, margins, value=0.0, margin=float(margins.min()),
-                           gap=gap, newton_steps=steps)
 
-    if not strict:
-        return SdpSolution("numerical-failure", x_margin, p.margins(x_margin), margin=tau,
-                           gap=gap, newton_steps=steps)
-    return _optimize(p, params, x_margin, steps)
+def _certified(cert, params: SdpParams) -> bool:
+    """Does an infeasibility certificate pass its value and residual checks?"""
+    return (cert is not None and cert["value"] <= -CERT_TOL
+            and cert["residual"] <= params.feas_tol * cert["scale"])
 
 
 @dataclass
@@ -492,7 +471,7 @@ class _MarginResult:
     steps: int = 0
 
 
-def _margin_blocks(p: SdpProblem, params: SdpParams):
+def _margin_blocks(p: SdpProblem):
     """Blocks of the margin problem in variables (x, tau)."""
     n = p.n
     ext = [np.concatenate([blk, -np.eye(blk.shape[-1])[None]], axis=0) for blk in p.blocks]
@@ -500,12 +479,12 @@ def _margin_blocks(p: SdpProblem, params: SdpParams):
     cap[0, 0, 0] = 1.0
     cap[n + 1, 0, 0] = -1.0
     ext.append(cap)
-    return ext + _box_blocks(n, n + 1, params.box)
+    return ext + _box_blocks(n, n + 1, BOX)
 
 
 def _max_margin(p: SdpProblem, params: SdpParams, x_eq) -> _MarginResult:
     n = p.n
-    blocks = _margin_blocks(p, params)
+    blocks = _margin_blocks(p)
     nu = sum(b.shape[-1] for b in blocks)
     base_margin = p.margins(x_eq).min()
     tau0 = min(base_margin, 1.0) - 1.0
@@ -518,7 +497,7 @@ def _max_margin(p: SdpProblem, params: SdpParams, x_eq) -> _MarginResult:
     c_obj = np.zeros(n + 1)
     c_obj[n] = -1.0
 
-    target = min(params.gap_tol, params.cert_tol / 10, params.feas_tol / 10)
+    target = min(params.gap_tol, CERT_TOL / 10, params.feas_tol / 10)
     decisive = max(10.0 * params.feas_tol, 1e-6)
     cones = _group_blocks(blocks)
     t = 1.0
@@ -527,14 +506,13 @@ def _max_margin(p: SdpProblem, params: SdpParams, x_eq) -> _MarginResult:
     last = None
     while True:
         try:
-            x, mult, used = _center(cones, t * c_obj, x, eq,
-                                    params.inner_tol, params.max_newton)
+            x, used = _center(cones, t * c_obj, x, eq)
         except NumericalFailure:
             # keep the last finished stage: the decision bands stay sound
             # at any achieved gap, and deeper t values exceed float64 anyway
             if last is None:
                 return _MarginResult("failed", steps=total)
-            x, mult, t = last
+            x, t = last
             break
         total += used + 1
         tau = float(x[n])
@@ -543,22 +521,21 @@ def _max_margin(p: SdpProblem, params: SdpParams, x_eq) -> _MarginResult:
             # margin further only pushes x toward the box scale
             return _MarginResult("ok", tau, nu / t, x[:n], None, total)
         if tau + nu / t < -params.feas_tol:
-            cert = _margin_certificate(p, params, x, mult, t)
-            if (cert is not None and cert["value"] <= -params.cert_tol
-                    and cert["residual"] <= params.feas_tol * cert["scale"]):
+            cert = _margin_certificate(p, x, t)
+            if _certified(cert, params):
                 return _MarginResult("ok", tau, nu / t, x[:n], cert, total)
-        last = (x, mult, t)
+        last = (x, t)
         if nu / t <= target:
             break
-        t *= params.mu
+        t *= MU
 
     tau = float(x[n])
     gap = nu / t
-    cert = _margin_certificate(p, params, x, mult, t)
+    cert = _margin_certificate(p, x, t)
     return _MarginResult("ok", tau, gap, x[:n], cert, total)
 
 
-def _margin_certificate(p: SdpProblem, params: SdpParams, x_full, mult, t):
+def _margin_certificate(p: SdpProblem, x_full, t):
     """Normalized dual of the margin problem, box terms dropped."""
     n = p.n
     x = x_full[:n]
@@ -600,79 +577,6 @@ def _margin_certificate(p: SdpProblem, params: SdpParams, x_full, mult, t):
     }
 
 
-def _least_norm(p: SdpProblem, params: SdpParams, x_margin):
-    """Phase-2 path toward the minimum-norm feasible point."""
-    n = p.n
-    epi = np.zeros((n + 2, n + 1, n + 1))
-    epi[0, :n, :n] = np.eye(n)
-    for i in range(n):
-        epi[i + 1, i, n] = 1.0
-        epi[i + 1, n, i] = 1.0
-    epi[n + 1, n, n] = 1.0
-
-    blocks = [np.concatenate([blk, np.zeros((1,) + blk.shape[1:])], axis=0) for blk in p.blocks]
-    blocks.append(epi)
-    nu = sum(b.shape[-1] for b in blocks)
-    cones = _group_blocks(blocks)
-
-    eq = None
-    if p.eq_a is not None:
-        eq = np.hstack([p.eq_a, np.zeros((p.eq_a.shape[0], 1))])
-
-    c_obj = np.zeros(n + 1)
-    c_obj[n] = 1.0
-    # start the path where its center sits near the warm start: a t=1 start
-    # from a huge margin point forces one giant traverse that collapses the
-    # epigraph slack and stalls Newton on the cone boundary
-    norm2 = float(x_margin @ x_margin)
-    x = np.concatenate([x_margin, [2.0 * norm2 + 1.0]])
-    t = min(1.0, 1.0 / max(1.0, norm2))
-    total = 0
-    while True:
-        x, _, used = _center(cones, t * c_obj, x, eq, params.inner_tol, params.max_newton)
-        total += used + 1
-        if nu / t <= params.gap_tol * max(1.0, abs(float(x[n]))):
-            return x[:n], total
-        t *= params.mu
-
-
-def _optimize(p: SdpProblem, params: SdpParams, x_margin, steps):
-    n = p.n
-    blocks = list(p.blocks) + _box_blocks(n, n, params.box)
-    nu = sum(b.shape[-1] for b in blocks)
-    cones = _group_blocks(blocks)
-
-    x = x_margin
-    t = min(1.0, nu / (1.0 + abs(float(p.c @ x))))
-    total = steps
-    try:
-        while True:
-            x, mult, used = _center(cones, t * p.c, x, p.eq_a, params.inner_tol, params.max_newton)
-            total += used + 1
-            gap = nu / t
-            if gap <= params.gap_tol * max(1.0, abs(float(p.c @ x))):
-                break
-            t *= params.mu
-    except NumericalFailure:
-        return SdpSolution("numerical-failure", None, None, newton_steps=total)
-
-    if np.max(np.abs(x), initial=0.0) >= 0.99 * params.box:
-        return SdpSolution("numerical-failure", x, p.margins(x), gap=gap, newton_steps=total)
-
-    duals = []
-    for f in p.block_values(x):
-        try:
-            finv = np.linalg.inv(f)
-        except np.linalg.LinAlgError:
-            duals.append(None)
-            continue
-        duals.append(0.5 * (finv + finv.T) / t)
-    y = None if mult is None else np.asarray(mult) / t
-    margins = p.margins(x)
-    return SdpSolution("optimal", x, margins, value=float(p.c @ x), margin=float(margins.min()),
-                       gap=gap, duals=duals, eq_dual=y, newton_steps=total)
-
-
 # ---------------------------------------------------------------------------
 # determinant maximization: minimum-volume origin-symmetric enclosing ellipsoid
 
@@ -687,15 +591,15 @@ class MveeResult:
     newton_steps: int = 0
 
 
-def min_volume_shape(shapes, slack_tol: float = 1e-8, inner_tol: float = 1e-10,
-                     mu: float = 20.0) -> MveeResult:
+def min_volume_shape(shapes) -> MveeResult:
     """Shape matrix P of the min-volume origin-symmetric ellipsoid containing
     all {u : S - u u^T >= 0} for S in shapes.
 
     Maximizes log det P subject to S^(1/2) P S^(1/2) <= I via the barrier
-    path; running the path parameter to (number of shapes)/slack_tol makes
+    path, the same centering (INNER_TOL) and path growth (MU) as solve;
+    running the path parameter to 10 (number of shapes) / SLACK_TOL makes
     the polar bound max_{v: S - vv^T >= 0} v' P^-1 v <= d * max_trace-ish
-    hold with relative slack <= slack_tol, and containment is exact at every
+    hold with relative slack <= SLACK_TOL, and containment is exact at every
     interior central point. The result is re-checked: a containment margin
     min eig(I - S^(1/2) P S^(1/2)) below -1e-9 raises NumericalFailure.
     newton_steps counts the centering steps plus one per path stage.
@@ -725,16 +629,16 @@ def min_volume_shape(shapes, slack_tol: float = 1e-8, inner_tol: float = 1e-10,
                            np.r_[1.0, -np.ones(n_shapes)], np.ones(n_shapes + 1))
     x = linalg.vecm(0.5 * np.eye(d))
 
-    t_final = max(10.0 * n_shapes / slack_tol, 1.0)
+    t_final = max(10.0 * n_shapes / SLACK_TOL, 1.0)
     t = 1.0
     steps = 0
     while True:
         cone.w[0] = t
-        x, _, used = _center([cone], np.zeros(x.size), x, None, inner_tol)
+        x, used = _center([cone], np.zeros(x.size), x)
         steps += used + 1
         if t >= t_final:
             break
-        t = min(t * mu, t_final)
+        t = min(t * MU, t_final)
 
     p = cone.smat(x)
     margins = linalg.eig_extremes(np.eye(d) - roots @ p @ roots)[0]

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from psdrank import geometry, linalg, sdp
+from psdrank.errors import DomainError, InputError
 from psdrank.factors import make_factorization
+from psdrank.geometry import Ellipse, PolyhedronH, PolytopeV, SandwichPair
 
 
 class CatalogEntry:
@@ -147,6 +149,52 @@ def catalog():
 @pytest.fixture(params=[e.name for e in build_catalog()])
 def catalog_entry(request, catalog):
     return next(e for e in catalog if e.name == request.param)
+
+
+def square_pair():
+    """Unit square against itself, ordered so the slack matrix is the
+    circulant 0/1 square slack matrix."""
+    verts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    normals = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+    offsets = [1.0, 1.0, 0.0, 0.0]
+    return SandwichPair(PolytopeV(verts), PolyhedronH(normals, offsets))
+
+
+def nested_rectangles_pair(a, b):
+    """[-a, a] x [-b, b] inside [-1, 1]^2 with the standard facet order."""
+    a, b = float(a), float(b)
+    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
+        raise InputError("rectangle half-widths must lie in [0, 1]")
+    verts = [(a, b), (-a, b), (-a, -b), (a, -b)]
+    normals = [(-1.0, 0.0), (0.0, -1.0), (1.0, 0.0), (0.0, 1.0)]
+    offsets = [1.0, 1.0, 1.0, 1.0]
+    return SandwichPair(PolytopeV(verts), PolyhedronH(normals, offsets))
+
+
+def centered_square_pair(half=1.0, outer_half=2.0):
+    """Square [-half, half]^2 inside [-outer, outer]^2; slack rows follow the
+    vertex order (-,-), (-,+), (+,+), (+,-) and facet order +y, +x, -y, -x."""
+    h, o = float(half), float(outer_half)
+    verts = [(-h, -h), (-h, h), (h, h), (h, -h)]
+    normals = [(0.0, 1.0), (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0)]
+    offsets = [o, o, o, o]
+    return SandwichPair(PolytopeV(verts), PolyhedronH(normals, offsets))
+
+
+def ellipse_path(e0, e1, t):
+    """Convex combination of two certificates for the same pair; the combined
+    form is renormalized to unit trace and inherits combined multipliers."""
+    t = float(t)
+    if not 0.0 <= t <= 1.0:
+        raise InputError("path parameter must lie in [0, 1]")
+    if e0.multipliers.size != e1.multipliers.size:
+        raise InputError("certificates have different facet counts")
+    theta = (1 - t) * e0.theta + t * e1.theta
+    lams = (1 - t) * e0.multipliers + t * e1.multipliers
+    tr = float(np.trace(theta[:2, :2]))
+    if tr <= 0:
+        raise DomainError("combined form has nonpositive trace")
+    return Ellipse(theta / tr, lams / tr)
 
 
 def random_psd(rng, k, rank=None):

@@ -308,13 +308,16 @@ class TestSdpSolve:
         code, out = run(capsys, ["sdp-solve", str(path)])
         assert code == 1 and out["status"] == "infeasible"
 
-    def test_unbounded_is_numerical_failure(self, tmp_path, capsys):
+    def test_objective_is_refused(self, tmp_path, capsys):
         from psdrank.sdp import SdpProblem
-        p = SdpProblem(1, [[np.zeros((1, 1)), np.eye(1)]], c=[-1.0])
+        p = SdpProblem(1, [[np.zeros((1, 1)), np.eye(1)]])
+        doc = formats.encode_problem(p)
         path = tmp_path / "p.json"
-        formats.dump_json(formats.encode_problem(p), path)
+        formats.dump_json({**doc, "c": [0.0]}, path)
         code, out = run(capsys, ["sdp-solve", str(path)])
-        assert code == 3 and out["status"] == "numerical-failure"
+        assert code == 0 and out["status"] == "feasible"
+        formats.dump_json({**doc, "c": [-1.0]}, path)
+        assert cli.main(["sdp-solve", str(path)]) == 2
 
 
 class TestTopLevel:

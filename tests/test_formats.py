@@ -6,7 +6,7 @@ import pytest
 from psdrank import cpsd, factors, formats, geometry, quantum, sdp
 from psdrank.errors import InputError
 
-from conftest import compute_multipliers
+from conftest import centered_square_pair, compute_multipliers
 
 
 class TestMatrixCodec:
@@ -102,7 +102,7 @@ class TestFactorizationCodec:
 
 class TestEllipseCodec:
     def test_round_trip(self):
-        pair = geometry.centered_square_pair()
+        pair = centered_square_pair()
         theta = np.diag([0.5, 0.5, -1.0])
         e = geometry.Ellipse(theta, compute_multipliers(pair, theta))
         g = formats.decode_ellipse(formats.encode_ellipse(e))
@@ -160,14 +160,12 @@ class TestProblemCodec:
         p = sdp.SdpProblem(
             2,
             [[np.zeros((2, 2)), np.eye(2), np.diag([1.0, -1.0])]],
-            c=[1.0, 0.0],
             eq_a=[[1.0, 1.0]],
             eq_d=[1.0],
         )
         q = formats.decode_problem(formats.encode_problem(p))
         assert q.n == 2
         assert np.array_equal(q.blocks[0], p.blocks[0])
-        assert np.array_equal(q.c, p.c)
         assert np.array_equal(q.eq_a, p.eq_a)
         assert np.array_equal(q.eq_d, p.eq_d)
 

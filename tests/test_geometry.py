@@ -5,7 +5,8 @@ from psdrank import factors, families, geometry, linalg, sdp
 from psdrank.errors import DomainError, InputError, NumericalFailure
 from psdrank.geometry import Ellipse, PolyhedronH, PolytopeV, SandwichPair
 
-from conftest import compute_multipliers
+from conftest import (centered_square_pair, compute_multipliers, ellipse_path,
+                      nested_rectangles_pair, square_pair)
 
 CIRCLE_FORM = np.diag([0.5, 0.5, -1.0])
 AXIS_FORM = np.diag([9.0 / 25.0, 16.0 / 25.0, -36.0 / 25.0])
@@ -23,36 +24,36 @@ def by_name(catalog):
 
 class TestSlackMatrix:
     def test_square_pair_reproduces_slack(self, by_name):
-        pair = geometry.square_pair()
+        pair = square_pair()
         s = geometry.slack_matrix(pair.inner, pair.outer)
         assert np.array_equal(s, by_name["square-slack"].matrix)
 
     def test_centered_square_pair_reproduces_slack(self, by_name):
-        pair = geometry.centered_square_pair()
+        pair = centered_square_pair()
         s = geometry.slack_matrix(pair.inner, pair.outer)
         assert np.array_equal(s, by_name["nested-squares-circle"].matrix)
 
     def test_nested_rectangles_pair_matches_family(self):
-        pair = geometry.nested_rectangles_pair(0.3, 0.7)
+        pair = nested_rectangles_pair(0.3, 0.7)
         s = geometry.slack_matrix(pair.inner, pair.outer)
         assert np.max(np.abs(s - families.nested_rectangles(0.3, 0.7))) <= 1e-12
 
     def test_single_point_inside(self):
         p = PolytopeV([[0.0, 0.0]])
-        q = geometry.square_pair().outer
+        q = square_pair().outer
         s = geometry.slack_matrix(p, q)
         assert s.shape == (1, 4)
         assert np.array_equal(s[0], [1.0, 1.0, 0.0, 0.0])
 
     def test_outside_vertex_named_in_error(self):
         p = PolytopeV([[0.0, 0.0], [5.0, 0.0]])
-        q = geometry.square_pair().outer
+        q = square_pair().outer
         with pytest.raises(DomainError, match="vertex 1"):
             geometry.slack_matrix(p, q)
 
     def test_tiny_negative_slack_clipped(self):
         p = PolytopeV([[1.0 + 1e-13, 0.0]])
-        q = geometry.square_pair().outer
+        q = square_pair().outer
         s = geometry.slack_matrix(p, q)
         assert s[0, 0] == 0.0
 
@@ -100,7 +101,7 @@ class TestPolytopesFromMatrix:
 class TestPairValidation:
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
-            SandwichPair(PolytopeV([[0.0]]), geometry.square_pair().outer)
+            SandwichPair(PolytopeV([[0.0]]), square_pair().outer)
 
     def test_nonfinite_vertex(self):
         with pytest.raises(InputError):
@@ -113,21 +114,21 @@ class TestPairValidation:
 
 class TestCertify:
     def test_circle_on_centered_squares(self):
-        pair = geometry.centered_square_pair()
+        pair = centered_square_pair()
         e = certificate(pair, CIRCLE_FORM)
         chk = geometry.certify(pair, e)
         assert chk.passed
         assert chk.worst <= 1e-9
 
     def test_axis_ellipse_on_centered_squares(self):
-        pair = geometry.centered_square_pair()
+        pair = centered_square_pair()
         e = certificate(pair, AXIS_FORM)
         chk = geometry.certify(pair, e)
         assert chk.passed
         assert chk.worst <= 1e-9
 
     def test_wrong_trace_flagged(self):
-        pair = geometry.centered_square_pair()
+        pair = centered_square_pair()
         e = certificate(pair, CIRCLE_FORM)
         bad = Ellipse(e.theta * 1.5, e.multipliers * 1.5)
         chk = geometry.certify(pair, bad)
@@ -135,7 +136,7 @@ class TestCertify:
         assert chk.trace_error >= 0.4
 
     def test_small_ellipse_misses_vertices(self):
-        pair = geometry.centered_square_pair()
+        pair = centered_square_pair()
         theta = np.diag([0.5, 0.5, -0.5])  # radius 1 circle, vertices outside
         e = Ellipse(theta, compute_multipliers(pair, theta))
         chk = geometry.certify(pair, e)
@@ -143,7 +144,7 @@ class TestCertify:
         assert chk.vertex_violation >= 0.4
 
     def test_large_ellipse_escapes_outer_square(self):
-        pair = geometry.centered_square_pair()
+        pair = centered_square_pair()
         theta = np.diag([0.5, 0.5, -5.0])  # radius > 3 circle
         e = Ellipse(theta, compute_multipliers(pair, theta))
         chk = geometry.certify(pair, e)
@@ -199,7 +200,7 @@ class TestDecide:
 class TestExtraction:
     def test_circle_gives_rank_one_rows(self, by_name):
         m = by_name["nested-squares-circle"].matrix
-        pair = geometry.centered_square_pair()
+        pair = centered_square_pair()
         e = certificate(pair, CIRCLE_FORM)
         f = geometry.factorization_from_ellipse(m, pair, e)
         rep = factors.verify(m, f)
@@ -209,7 +210,7 @@ class TestExtraction:
 
     def test_axis_ellipse_gives_singular_columns(self, by_name):
         m = by_name["nested-squares-axis-ellipse"].matrix
-        pair = geometry.centered_square_pair()
+        pair = centered_square_pair()
         e = certificate(pair, AXIS_FORM)
         f = geometry.factorization_from_ellipse(m, pair, e)
         rep = factors.verify(m, f)
@@ -219,13 +220,13 @@ class TestExtraction:
 
     def test_row_rescaled_matrix_accepted(self, by_name):
         m = by_name["nested-squares-circle"].matrix * np.array([[1.0], [2.0], [0.5], [3.0]])
-        pair = geometry.centered_square_pair()
+        pair = centered_square_pair()
         e = certificate(pair, CIRCLE_FORM)
         f = geometry.factorization_from_ellipse(m, pair, e)
         assert factors.verify(m, f).passed
 
     def test_mismatched_matrix_rejected(self, by_name):
-        pair = geometry.centered_square_pair()
+        pair = centered_square_pair()
         e = certificate(pair, CIRCLE_FORM)
         m = by_name["nested-squares-circle"].matrix.copy()
         m[0, 0] += 0.5
@@ -233,7 +234,7 @@ class TestExtraction:
             geometry.factorization_from_ellipse(m, pair, e)
 
     def test_rank_requirement(self, by_name):
-        pair = geometry.centered_square_pair()
+        pair = centered_square_pair()
         e = certificate(pair, CIRCLE_FORM)
         with pytest.raises(DomainError, match="rank"):
             geometry.factorization_from_ellipse(np.ones((4, 4)), pair, e)
@@ -253,32 +254,32 @@ class TestExtraction:
 class TestEllipsePath:
     @pytest.mark.parametrize("t", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_blend_still_certifies(self, t):
-        pair = geometry.centered_square_pair()
+        pair = centered_square_pair()
         e0 = certificate(pair, CIRCLE_FORM)
         e1 = certificate(pair, AXIS_FORM)
-        mid = geometry.ellipse_path(e0, e1, t)
+        mid = ellipse_path(e0, e1, t)
         assert geometry.certify(pair, mid).passed
 
     def test_endpoints_reproduce_inputs(self):
-        pair = geometry.centered_square_pair()
+        pair = centered_square_pair()
         e0 = certificate(pair, CIRCLE_FORM)
         e1 = certificate(pair, AXIS_FORM)
-        assert np.max(np.abs(geometry.ellipse_path(e0, e1, 0.0).theta - e0.theta)) <= 1e-12
-        assert np.max(np.abs(geometry.ellipse_path(e0, e1, 1.0).theta - e1.theta)) <= 1e-12
+        assert np.max(np.abs(ellipse_path(e0, e1, 0.0).theta - e0.theta)) <= 1e-12
+        assert np.max(np.abs(ellipse_path(e0, e1, 1.0).theta - e1.theta)) <= 1e-12
 
     def test_parameter_range(self):
-        pair = geometry.centered_square_pair()
+        pair = centered_square_pair()
         e0 = certificate(pair, CIRCLE_FORM)
         with pytest.raises(InputError):
-            geometry.ellipse_path(e0, e0, 1.5)
+            ellipse_path(e0, e0, 1.5)
 
     def test_blended_factorizations_differ(self, by_name):
         # the path yields genuinely different factorizations of one matrix
         m = by_name["nested-squares-circle"].matrix
-        pair = geometry.centered_square_pair()
+        pair = centered_square_pair()
         e0 = certificate(pair, CIRCLE_FORM)
         e1 = certificate(pair, AXIS_FORM)
-        mid = geometry.ellipse_path(e0, e1, 0.5)
+        mid = ellipse_path(e0, e1, 0.5)
         f0 = geometry.factorization_from_ellipse(m, pair, e0)
         fm = geometry.factorization_from_ellipse(m, pair, mid)
         assert factors.verify(m, fm).passed
@@ -312,6 +313,6 @@ class TestMvee:
 
     def test_failed_containment_raises(self, monkeypatch):
         # centering that lands on P = 2I leaves the unit ball outside
-        monkeypatch.setattr(sdp, "_center", lambda cones, c, x, *rest: (4.0 * x, None, 0))
+        monkeypatch.setattr(sdp, "_center", lambda cones, c, x, *rest: (4.0 * x, 0))
         with pytest.raises(NumericalFailure, match="containment"):
             sdp.min_volume_shape([np.eye(2)])
