@@ -282,13 +282,49 @@ def _solution_to_ellipse(x: np.ndarray, f: int) -> Ellipse:
     return Ellipse(theta, lams)
 
 
+# eigenvalue floor of the whitening frame, relative to the vertex spread:
+# a full whitening stretches thin pairs until the ellipse degenerates
+FRAME_RIDGE = 1e-2
+
+
+def _frame(pair: SandwichPair):
+    """(framed pair, h, s): the pair under the affine map y = L (x - mean),
+    each facet divided by the length s_j of its new normal.
+
+    mean and C are the vertex mean and covariance, L = (C + FRAME_RIDGE tr(C) I)^-1/2,
+    and h = [[L, -L mean], [0, 1]] maps (x, 1) to (y, 1). A facet whose
+    normal is numerically zero (a constant column: the halfplane is the
+    whole plane) keeps s_j = 1.
+    """
+    verts = pair.inner.vertices
+    mean = verts.mean(axis=0)
+    dev = verts - mean
+    cov = dev.T @ dev / len(verts)
+    lmap = linalg.psd_roots(cov + FRAME_RIDGE * np.trace(cov) * np.eye(2)).inv_sqrt
+    h = np.eye(3)
+    h[:2, :2] = lmap
+    h[:2, 2] = -lmap @ mean
+    # a . x <= b reads (L^-1 a) . y <= b - a . mean
+    normals = pair.outer.normals @ np.linalg.inv(lmap)
+    offsets = pair.outer.offsets - pair.outer.normals @ mean
+    s = np.linalg.norm(normals, axis=1)
+    s = np.where(s > DEFAULT_TOL * np.abs(offsets), s, 1.0)
+    framed = SandwichPair(PolytopeV(dev @ lmap), PolyhedronH(normals / s[:, None], offsets / s))
+    return framed, h, s
+
+
 def decide_psd_rank_le_2(m, params: sdp.SdpParams | None = None):
     """(answer, certificate): is the psd rank of m at most 2?
 
     Matrices of usual rank <= 2 are a yes without a certificate (psd rank is
     at most the rank); rank >= 4 is a no since a size-2 factorization forces
     rank <= 3. The rank-3 core builds the planar pair and solves the ellipse
-    containment program, accepting boundary-tight certificates.
+    containment program on its _frame, where the vertices have about unit
+    spread and every facet a unit normal; near the boundary of the psd-rank-2
+    region the raw pair's scales leave the margin and the dual both short of
+    a decision. A framed ellipse Theta' with multipliers lambda' maps back to
+    Theta = h^T Theta' h and lambda_j = lambda'_j / s_j, divided by the trace
+    of the quadratic part; boundary-tight certificates are accepted.
     """
     mm = linalg.as_matrix(m)
     r = linalg.numerical_rank(mm)
@@ -298,10 +334,13 @@ def decide_psd_rank_le_2(m, params: sdp.SdpParams | None = None):
         return False, None
 
     pair = polytopes_from_matrix(mm)
-    problem = ellipse_program(pair)
-    sol = sdp.solve(problem, params)
+    framed, h, s = _frame(pair)
+    sol = sdp.solve(ellipse_program(framed), params)
     if sol.status == "feasible":
-        return True, _solution_to_ellipse(sol.x, pair.outer.offsets.size)
+        e = _solution_to_ellipse(sol.x, s.size)
+        theta = h.T @ e.theta @ h
+        tr = float(np.trace(theta[:2, :2]))
+        return True, Ellipse(theta / tr, e.multipliers / s / tr)
     if sol.status == "infeasible":
         return False, None
     raise NumericalFailure(

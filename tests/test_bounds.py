@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from psdrank import bounds, families, geometry, linalg
+from psdrank import bounds, families, geometry, linalg, sdp
 from psdrank.bounds import BoundOptions, RankInterval
 from psdrank.errors import InputError, NumericalFailure, ResourceError
 
@@ -184,13 +184,25 @@ class TestInterval:
         assert iv.lower >= 3
 
 
-# the ellipse program ends undecided on this rank-3 matrix and its transpose:
-# margins -7.2e-7 and -6.6e-7 with dual values inside cert_tol
+# on its raw pair the ellipse program ends undecided on this rank-3 matrix
+# and its transpose: margins -7.2e-7 and -6.6e-7 with dual values short of
+# CERT_TOL; on the frame of decide_psd_rank_le_2 both get a certified no
 UNDECIDED = np.array([[0, 3, 2], [1, 3, 4], [1, 1, 1], [2, 1, 0]], dtype=float)
 
 
+def undecided_solve(problem, params=None):
+    return sdp.SdpSolution("numerical-failure", None, None)
+
+
 @pytest.mark.parametrize("m", [UNDECIDED, UNDECIDED.T], ids=["rows", "transposed"])
-def test_undecided_ellipse_keeps_the_other_bounds(m):
+def test_ellipse_no_closes_the_interval_at_three(m):
+    iv = bounds.psd_rank_interval(m)
+    assert (iv.lower, iv.upper, iv.exact) == (3, 3, 3)
+
+
+@pytest.mark.parametrize("m", [UNDECIDED, UNDECIDED.T], ids=["rows", "transposed"])
+def test_undecided_ellipse_keeps_the_other_bounds(m, monkeypatch):
+    monkeypatch.setattr(sdp, "solve", undecided_solve)
     with pytest.raises(NumericalFailure):
         geometry.decide_psd_rank_le_2(m)
     iv = bounds.psd_rank_interval(m)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from psdrank import cli, factors, families, formats, geometry
+from psdrank import cli, factors, families, formats, geometry, sdp
 from psdrank.errors import NumericalFailure
 
 
@@ -61,7 +61,9 @@ class TestBounds:
         assert (doc["lower"], doc["upper"], doc["exact"]) == (2, 2, 2)
         assert any(c.get("kind") == "ellipse" for c in doc["certificates"] if c)
 
-    def test_undecided_ellipse_still_gives_an_interval(self, tmp_path, capsys):
+    def test_undecided_ellipse_still_gives_an_interval(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sdp, "solve",
+                            lambda problem, params=None: sdp.SdpSolution("numerical-failure", None, None))
         m = np.array([[0, 3, 2], [1, 3, 4], [1, 1, 1], [2, 1, 0]], dtype=float)
         code, doc = run(capsys, ["bounds", write_matrix(tmp_path, m)])
         assert code == 0

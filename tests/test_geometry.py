@@ -196,6 +196,33 @@ class TestDecide:
         assert ans is True
         assert e is not None
 
+    # cells within 1e-4 of the region boundary, where the raw pair left the
+    # circulant cells undecided, and thin rectangles, where a frame without
+    # an eigenvalue floor degenerates the ellipse
+    @pytest.mark.parametrize("m, expected", [
+        (families.circulant3(1.0, 0.03796994707274237, 1.4277180618023644), False),
+        (families.circulant3(1.0, 1.281192012170504, 0.0173766133800122), False),
+        (families.nested_rectangles(5.2360301663873745e-05, 0.21786219176842264), True),
+        (families.nested_rectangles(9.224281988483098e-05, 0.3510325702651294), True),
+    ], ids=["circulant-a", "circulant-b", "thin-rectangle-a", "thin-rectangle-b"])
+    def test_near_boundary_cells_get_the_closed_form_answer(self, m, expected):
+        ans, e = geometry.decide_psd_rank_le_2(m)
+        assert ans is expected
+        if ans:
+            pair = geometry.polytopes_from_matrix(m)
+            assert geometry.certify(pair, e).passed
+            assert factors.verify(m, geometry.factorization_from_ellipse(m, pair, e)).passed
+
+    def test_constant_column_keeps_its_facet_unscaled(self):
+        # a constant column is a facet with a numerically zero normal; scaled
+        # to a unit normal its offset would swamp the program
+        m = np.hstack([families.circulant3(1.0, 1.3, 0.4), np.ones((3, 1))])
+        ans, e = geometry.decide_psd_rank_le_2(m)
+        assert ans is True
+        pair = geometry.polytopes_from_matrix(m)
+        assert geometry.certify(pair, e).passed
+        assert factors.verify(m, geometry.factorization_from_ellipse(m, pair, e)).passed
+
 
 class TestExtraction:
     def test_circle_gives_rank_one_rows(self, by_name):
