@@ -291,10 +291,10 @@ def _frame(pair: SandwichPair):
     """(framed pair, h, s): the pair under the affine map y = L (x - mean),
     each facet divided by the length s_j of its new normal.
 
-    mean and C are the vertex mean and covariance, L = (C + FRAME_RIDGE tr(C) I)^-1/2,
-    and h = [[L, -L mean], [0, 1]] maps (x, 1) to (y, 1). A facet whose
-    normal is numerically zero (a constant column: the halfplane is the
-    whole plane) keeps s_j = 1.
+    mean and C are the vertex mean and covariance,
+    L = (C + FRAME_RIDGE tr(C) I)^-1/2, and h = [[L, -L mean], [0, 1]]
+    maps (x, 1) to (y, 1). A facet whose normal is numerically zero (a
+    constant column: the halfplane is the whole plane) keeps s_j = 1.
     """
     verts = pair.inner.vertices
     mean = verts.mean(axis=0)

@@ -47,6 +47,7 @@ CERT_TOL = 1e-6
 INNER_TOL = 1e-10
 # growth of the barrier path parameter per centering stage
 MU = 20.0
+# Newton steps one centering may take before it fails
 MAX_NEWTON = 120
 # half-width of the box on the variables of the max-margin program
 BOX = 1e6

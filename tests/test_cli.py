@@ -62,8 +62,10 @@ class TestBounds:
         assert any(c.get("kind") == "ellipse" for c in doc["certificates"] if c)
 
     def test_undecided_ellipse_still_gives_an_interval(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(sdp, "solve",
-                            lambda problem, params=None: sdp.SdpSolution("numerical-failure", None, None))
+        def undecided(problem, params=None):
+            return sdp.SdpSolution("numerical-failure", None, None)
+
+        monkeypatch.setattr(sdp, "solve", undecided)
         m = np.array([[0, 3, 2], [1, 3, 4], [1, 1, 1], [2, 1, 0]], dtype=float)
         code, doc = run(capsys, ["bounds", write_matrix(tmp_path, m)])
         assert code == 0
