@@ -21,13 +21,17 @@ from .errors import InputError, NumericalFailure, ResourceError
 from .linalg import DEFAULT_TOL
 
 
+# free sign bits the square-root rank search may enumerate by default
+SQRT_BUDGET = 20
+# entries closer than this count as one value in the distinct-entry bound
+VALUE_EPS = 1e-9
+
+
 @dataclass(frozen=True)
 class BoundOptions:
     tol: float = DEFAULT_TOL
-    value_eps: float = 1e-9
-    sqrt_budget: int = 20
+    sqrt_budget: int = SQRT_BUDGET
     use_sqrt: bool = True
-    use_ellipse: bool = True
 
 
 # the lower-bound search evaluates at most this many distinct blocks and
@@ -332,19 +336,19 @@ def psd_rank_upper(m, opts: BoundOptions | None = None):
     opts = opts or BoundOptions()
     mm = linalg.as_nonnegative(m, opts.tol)
     r = linalg.numerical_rank(mm, opts.tol)
-    candidates = _cheap_upper_candidates(mm, r, opts)
+    candidates = _cheap_upper_candidates(mm, r, opts.tol)
     if opts.use_sqrt and min(v for v, _ in candidates) > rank_to_min_size(r):
         candidates += _sqrt_candidates(mm, opts)
     value, cert = min(candidates, key=lambda t: t[0])
     return int(value), cert
 
 
-def _cheap_upper_candidates(mm, r, opts):
+def _cheap_upper_candidates(mm, r, tol):
     p, q = mm.shape
     candidates = []
 
     # listed first so ties resolve to the constructive certificate
-    fam = _derangement_like(mm, opts.tol)
+    fam = _derangement_like(mm, tol)
     if fam is not None:
         n = mm.shape[0]
         k = rank_to_min_size(n) if n > 1 else (0 if fam == 0.0 else 1)
@@ -357,7 +361,7 @@ def _cheap_upper_candidates(mm, r, opts):
         candidates.append((r, {"kind": "rank-bound", "argument": "rank <= 2 is exact",
                                "value": int(r)}))
 
-    snapped = np.round(mm / opts.value_eps) * opts.value_eps
+    snapped = np.round(mm / VALUE_EPS) * VALUE_EPS
     distinct = np.unique(snapped[snapped > 0]).size + (1 if np.any(snapped <= 0) else 0)
     if distinct >= 1:
         barv = comb(distinct - 1 + r, distinct - 1)
@@ -395,7 +399,7 @@ def _derangement_like(mm, tol):
 # exact square-root rank
 
 
-def sqrt_rank_exact(m, budget: int = 20, tol: float = DEFAULT_TOL) -> SqrtRankResult:
+def sqrt_rank_exact(m, budget: int = SQRT_BUDGET, tol: float = DEFAULT_TOL) -> SqrtRankResult:
     """Minimum rank over all Hadamard square roots, by exhaustive signs.
 
     Scaling rows and columns by -1 preserves rank, so the signs along a
@@ -526,7 +530,7 @@ def psd_rank_interval(m, opts: BoundOptions | None = None) -> RankInterval:
         certs.append({"kind": "rank-bound", "argument": "rank <= 2 is exact", "value": int(r)})
         return RankInterval(int(r), int(r), tuple(certs))
 
-    if r == 3 and opts.use_ellipse and lo < 3:
+    if r == 3 and lo < 3:
         from . import geometry
 
         try:

@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import bounds, cpsd, factors, families, formats, geometry, quantum, sdp
+from . import bounds, cpsd, factors, families, formats, geometry, linalg, quantum, sdp
 from .errors import InputError, NumericalFailure, PsdRankError
 
 EXIT_PASS = 0
@@ -28,10 +27,8 @@ EXIT_NUMERICAL = 3
 
 @dataclass
 class RunConfig:
-    tol: float = 1e-9
-    sqrt_budget: int = 20
-    gap_tol: float = 1e-8
-    feas_tol: float = 1e-7
+    tol: float = linalg.DEFAULT_TOL
+    sqrt_budget: int = bounds.SQRT_BUDGET
     seed: int | None = None
 
     @classmethod
@@ -42,10 +39,6 @@ class RunConfig:
             cfg.tol = _positive_float(env["PSDRANK_TOL"], "PSDRANK_TOL")
         if "PSDRANK_SQRT_BUDGET" in env:
             cfg.sqrt_budget = _positive_int(env["PSDRANK_SQRT_BUDGET"], "PSDRANK_SQRT_BUDGET")
-        if "PSDRANK_GAP_TOL" in env:
-            cfg.gap_tol = _positive_float(env["PSDRANK_GAP_TOL"], "PSDRANK_GAP_TOL")
-        if "PSDRANK_FEAS_TOL" in env:
-            cfg.feas_tol = _positive_float(env["PSDRANK_FEAS_TOL"], "PSDRANK_FEAS_TOL")
         if "PSDRANK_SEED" in env:
             cfg.seed = _positive_int(env["PSDRANK_SEED"], "PSDRANK_SEED", allow_zero=True)
         return cfg
@@ -60,28 +53,15 @@ class RunConfig:
         return self
 
 
-def _finite_float(text, name) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise InputError(f"{name} must be a number, got {text!r}")
-    if not math.isfinite(v):
-        raise InputError(f"{name} must be finite, got {text!r}")
-    return v
-
-
 def _positive_float(text, name) -> float:
-    v = _finite_float(text, name)
+    v = linalg.as_float(text, name)
     if not v > 0:
         raise InputError(f"{name} must be positive")
     return v
 
 
 def _positive_int(text, name, allow_zero: bool = False) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise InputError(f"{name} must be an integer, got {text!r}")
+    v = linalg.as_int(text, name)
     if v < 0 or (v == 0 and not allow_zero):
         raise InputError(f"{name} must be positive")
     return v
@@ -91,16 +71,12 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _sdp_params(cfg: RunConfig) -> sdp.SdpParams:
-    return sdp.SdpParams(gap_tol=cfg.gap_tol, feas_tol=cfg.feas_tol)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_gen(args, cfg) -> int:
-    m = families.generate(args.family, [_finite_float(p, "parameter") for p in args.params])
+    m = families.generate(args.family, [linalg.as_float(p, "parameter") for p in args.params])
     doc = formats.encode_matrix(m)
     if args.output:
         formats.dump_json(doc, args.output)
@@ -140,7 +116,7 @@ def _jsonable_cert(cert):
 
 def _cmd_rank2(args, cfg) -> int:
     m = formats.load_matrix(args.matrix)
-    answer, ellipse = geometry.decide_psd_rank_le_2(m, params=_sdp_params(cfg))
+    answer, ellipse = geometry.decide_psd_rank_le_2(m)
     if ellipse is not None:
         formats.dump_json(formats.encode_ellipse(ellipse), args.output)
     _emit({"psd_rank_le_2": bool(answer),
@@ -270,10 +246,9 @@ def _cmd_region(args, cfg) -> int:
     rows = _region_rows_circulant(grid) if args.family == "circulant" \
         else _region_rows_nested(grid)
     lines = ["b,c,decision"]
-    params = _sdp_params(cfg)
     for b, c, m in rows:
         try:
-            answer, _ = geometry.decide_psd_rank_le_2(m, params=params)
+            answer, _ = geometry.decide_psd_rank_le_2(m)
             decision = "1" if answer else "0"
         except NumericalFailure:
             decision = "fail"
@@ -289,7 +264,7 @@ def _cmd_region(args, cfg) -> int:
 
 def _cmd_sdp_solve(args, cfg) -> int:
     pb = formats.decode_problem(formats.load_json(args.problem))
-    sol = sdp.solve(pb, _sdp_params(cfg))
+    sol = sdp.solve(pb)
     _emit({
         "status": sol.status,
         "x": None if sol.x is None else [float(v) for v in sol.x],
@@ -313,9 +288,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="psdrank",
         description="psd rank bounds, certificates, and factorization tools",
     )
-    parser.add_argument("--tol", help="numerical tolerance (default 1e-9)")
+    parser.add_argument("--tol", help=f"numerical tolerance (default {linalg.DEFAULT_TOL})")
     parser.add_argument("--sqrt-budget", dest="sqrt_budget",
-                        help="free sign bits allowed in square-root rank search")
+                        help="free sign bits allowed in square-root rank search "
+                             f"(default {bounds.SQRT_BUDGET})")
     parser.add_argument("--seed", help="seed for sampling commands")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -31,10 +31,7 @@ class SymmetricGram:
         k = mats[0].shape[0]
         if any(a.shape[0] != k for a in mats):
             raise InputError("factors must share one size")
-        stack = np.stack(mats)
-        bad = np.nonzero(linalg.eig_extremes(stack)[0] < -tol * linalg.scales_of(stack))[0]
-        if bad.size:
-            raise InputError(f"factor {bad[0]} is not psd")
+        linalg.check_psd_stack(mats, tol, "factor")
         object.__setattr__(self, "factors", mats)
 
     @property

@@ -36,13 +36,16 @@ class PsdFactorization:
 
     def matrix(self) -> np.ndarray:
         """Reconstruct M from trace(A_i B_j)."""
+        return self._traces().real
+
+    def _traces(self) -> np.ndarray:
+        """trace(A_i B_j), complex for Hermitian factors; verify reads both parts."""
         p, q = self.shape
         if p == 0 or q == 0 or self.k == 0:
             return np.zeros((p, q))
         a = np.stack(self.row_factors)
         b = np.stack(self.col_factors)
-        m = np.einsum("aij,bij->ab", a, b.conj())
-        return np.real_if_close(m, tol=1000).real if np.iscomplexobj(m) else m
+        return np.einsum("aij,bij->ab", a, b.conj())
 
 
 @dataclass(frozen=True)
@@ -100,14 +103,9 @@ def verify(m, f: PsdFactorization, tol: float = DEFAULT_TOL) -> VerificationRepo
     if p == 0 or q == 0:
         return VerificationReport(0.0, 0.0, 0.0, 0.0, True)
 
-    approx = f.matrix() if f.k else np.zeros((p, q))
-    imag = 0.0
-    if f.field == "hermitian" and f.k:
-        a = np.stack(f.row_factors)
-        b = np.stack(f.col_factors)
-        raw = np.einsum("aij,bij->ab", a, b.conj())
-        imag = float(np.max(np.abs(raw.imag)))
-    max_residual = float(np.max(np.abs(approx - mm.real))) if f.k else float(np.max(np.abs(mm)))
+    traces = f._traces()
+    imag = float(np.max(np.abs(traces.imag))) if f.field == "hermitian" and f.k else 0.0
+    max_residual = float(np.max(np.abs(traces.real - mm.real) if f.k else np.abs(mm)))
     if np.iscomplexobj(mm) and np.max(np.abs(mm.imag)) > tol * scale_m:
         raise InputError("matrix to verify has complex entries")
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import linalg
 from .errors import InputError
 from .factors import PsdFactorization, make_factorization
 from .geometry import Ellipse
@@ -55,7 +56,7 @@ def encode_matrix(m) -> dict:
 def decode_matrix(obj, where: str = "matrix") -> np.ndarray:
     if not isinstance(obj, dict) or not {"rows", "cols", "data"} <= set(obj):
         raise InputError(f"{where}: expected keys rows, cols, data")
-    p, q = int(obj["rows"]), int(obj["cols"])
+    p, q = linalg.as_int(obj["rows"], f"{where} rows"), linalg.as_int(obj["cols"], f"{where} cols")
     data = obj["data"]
     if not isinstance(data, list) or len(data) != p:
         raise InputError(f"{where}: data must have {p} rows")
@@ -103,10 +104,8 @@ def decode_ellipse(obj) -> Ellipse:
     if not isinstance(obj, dict) or not {"theta", "multipliers"} <= set(obj):
         raise InputError("ellipse: expected keys theta, multipliers")
     theta = decode_matrix(obj["theta"], "ellipse theta")
-    mults = [float(x) for x in obj["multipliers"]]
-    if any(not math.isfinite(x) for x in mults):
-        raise InputError("ellipse: multipliers must be finite")
-    return Ellipse(theta, tuple(mults))
+    mults = tuple(linalg.as_float(x, "ellipse multiplier") for x in obj["multipliers"])
+    return Ellipse(theta, mults)
 
 
 def encode_protocol(pr) -> dict:
@@ -123,7 +122,7 @@ def decode_protocol(obj):
 
     if not isinstance(obj, dict) or not {"k", "alice", "bob", "rho"} <= set(obj):
         raise InputError("protocol: expected keys k, alice, bob, rho")
-    k = int(obj["k"])
+    k = linalg.as_int(obj["k"], "protocol k")
     alice = Povm([decode_matrix(e, "alice element") for e in obj["alice"]])
     bob = Povm([decode_matrix(e, "bob element") for e in obj["bob"]])
     rho = decode_matrix(obj["rho"], "state")
@@ -156,7 +155,7 @@ def decode_problem(obj):
 
     if not isinstance(obj, dict) or not {"n", "blocks"} <= set(obj):
         raise InputError("problem: expected keys n, blocks")
-    n = int(obj["n"])
+    n = linalg.as_int(obj["n"], "problem n")
     blocks = [[decode_matrix(g, "block term") for g in blk] for blk in obj["blocks"]]
     c = obj.get("c")
     if c is not None and (not isinstance(c, list) or any(_entry_in(x, "c") != 0 for x in c)):
@@ -167,7 +166,7 @@ def decode_problem(obj):
         n,
         blocks,
         eq_a=None if eq_a is None else decode_matrix(eq_a, "eq_a"),
-        eq_d=None if eq_d is None else np.array([float(x) for x in eq_d]),
+        eq_d=None if eq_d is None else np.array([linalg.as_float(x, "eq_d entry") for x in eq_d]),
     )
 
 

@@ -313,7 +313,7 @@ def _frame(pair: SandwichPair):
     return framed, h, s
 
 
-def decide_psd_rank_le_2(m, params: sdp.SdpParams | None = None):
+def decide_psd_rank_le_2(m):
     """(answer, certificate): is the psd rank of m at most 2?
 
     Matrices of usual rank <= 2 are a yes without a certificate (psd rank is
@@ -335,7 +335,7 @@ def decide_psd_rank_le_2(m, params: sdp.SdpParams | None = None):
 
     pair = polytopes_from_matrix(mm)
     framed, h, s = _frame(pair)
-    sol = sdp.solve(ellipse_program(framed), params)
+    sol = sdp.solve(ellipse_program(framed))
     if sol.status == "feasible":
         e = _solution_to_ellipse(sol.x, s.size)
         theta = h.T @ e.theta @ h

@@ -39,6 +39,17 @@ def as_int(x, what: str) -> int:
     return v
 
 
+def as_float(x, what: str) -> float:
+    """x as a finite float; anything else is refused."""
+    try:
+        v = float(x)
+    except (TypeError, ValueError):
+        raise InputError(f"{what} must be a number, got {x!r}")
+    if not np.isfinite(v):
+        raise InputError(f"{what} must be finite, got {x!r}")
+    return v
+
+
 def as_nonnegative(m, tol: float = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
     """Real input with entries >= -tol * (1 + max |entry|), clipped at zero."""
     a = as_matrix(m, name)
@@ -121,6 +132,15 @@ def eig_extremes(stack, name: str = "matrix"):
         return np.zeros(len(a)), np.zeros(len(a))
     w = np.linalg.eigvalsh(a)
     return w[:, 0], w[:, -1]
+
+
+def check_psd_stack(mats, tol: float = DEFAULT_TOL, name: str = "matrix") -> None:
+    """is_psd over a list of equal-size symmetric matrices by one eig_extremes
+    call; the InputError names the first that fails."""
+    stack = np.stack(mats)
+    bad = np.nonzero(eig_extremes(stack, name)[0] < -tol * scales_of(stack))[0]
+    if bad.size:
+        raise InputError(f"{name} {bad[0]} is not psd")
 
 
 def is_psd(m, tol: float = DEFAULT_TOL) -> bool:

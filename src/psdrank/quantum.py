@@ -34,10 +34,7 @@ class Povm:
         total = sum(elems)
         if np.max(np.abs(total - np.eye(d))) > 1e-9 * (1 + d):
             raise InputError("measurement elements must sum to the identity")
-        stack = np.stack(elems)
-        bad = np.nonzero(linalg.eig_extremes(stack)[0] < -tol * linalg.scales_of(stack))[0]
-        if bad.size:
-            raise InputError(f"measurement element {bad[0]} is not psd")
+        linalg.check_psd_stack(elems, tol, "measurement element")
         object.__setattr__(self, "elements", elems)
 
     @property

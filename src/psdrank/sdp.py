@@ -8,8 +8,10 @@ every block minus tau I staying psd, in a box |x_i| <= BOX. A plain
 logarithmic-barrier path follower with Newton centering runs it; its
 iterate is the answer on the feasible side, and on the infeasible side the
 barrier's dual, normalized to trace 1 and re-verified, is a separating
-certificate. Everything is dense and deterministic; intended for block
-sizes up to ~30 and a few hundred variables.
+certificate. solve takes no settings: GAP_TOL, FEAS_TOL and the other
+tolerances below are module constants. Everything is dense and
+deterministic; intended for block sizes up to ~30 and a few hundred
+variables.
 
 The barrier kernel groups blocks by size and keeps each group's
 coefficients flattened, one row per variable, so a section is
@@ -43,6 +45,12 @@ from .errors import InputError, NumericalFailure
 
 # a separating dual is reported only if its value reaches -CERT_TOL
 CERT_TOL = 1e-6
+# the max-margin path stops once its duality gap is at most GAP_TOL
+GAP_TOL = 1e-8
+# a margin of at least -FEAS_TOL is feasible; residuals are judged against it
+FEAS_TOL = 1e-7
+# a max-margin iterate with margin at least DECISIVE ends the path as feasible
+DECISIVE = 1e-6
 # centering ends once the squared Newton decrement is at most 2 INNER_TOL
 INNER_TOL = 1e-10
 # growth of the barrier path parameter per centering stage
@@ -53,12 +61,6 @@ MAX_NEWTON = 120
 BOX = 1e6
 # relative polar slack at which min_volume_shape ends its path
 SLACK_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class SdpParams:
-    gap_tol: float = 1e-8
-    feas_tol: float = 1e-7
 
 
 @dataclass
@@ -402,16 +404,17 @@ def _center(cones, c_lin, x0, eq_a=None):
 # public solve
 
 
-def solve(problem: SdpProblem, params: SdpParams | None = None) -> SdpSolution:
+def solve(problem: SdpProblem) -> SdpSolution:
     """Decide whether the block section of problem is nonempty.
 
     The status is "feasible" with the max-margin point x, whose block
-    margins are at least -feas_tol; "infeasible" with a certificate that was
+    margins are at least -FEAS_TOL; "infeasible" with a certificate that was
     re-verified numerically (inconsistent equalities, or a trace-1
     separating dual of value at most -CERT_TOL); or "numerical-failure"
-    when the margin and the dual settle neither answer. Deterministic.
+    when the margin and the dual settle neither answer. The path stops
+    once it proves an answer or its duality gap reaches GAP_TOL.
+    Deterministic.
     """
-    params = params or SdpParams()
     p = problem
     n = p.n
 
@@ -420,7 +423,7 @@ def solve(problem: SdpProblem, params: SdpParams | None = None) -> SdpSolution:
         x_eq, *_ = np.linalg.lstsq(p.eq_a, p.eq_d, rcond=None)
         resid = p.eq_d - p.eq_a @ x_eq
         rnorm = float(np.linalg.norm(resid))
-        if rnorm > params.feas_tol * (1.0 + np.linalg.norm(p.eq_d)):
+        if rnorm > FEAS_TOL * (1.0 + np.linalg.norm(p.eq_d)):
             y = resid / max(rnorm, 1e-300)
             cert = {
                 "kind": "inconsistent-equalities",
@@ -429,26 +432,26 @@ def solve(problem: SdpProblem, params: SdpParams | None = None) -> SdpSolution:
                 "residual": float(np.linalg.norm(p.eq_a.T @ y)),
                 "scale": max(1.0, float(np.max(np.abs(p.eq_a)))),
             }
-            status = "infeasible" if _certified(cert, params) else "numerical-failure"
+            status = "infeasible" if _certified(cert) else "numerical-failure"
             return SdpSolution(status, None, None, certificate=cert)
 
     if np.max(np.abs(x_eq), initial=0.0) > 0.9 * BOX:
         return SdpSolution("numerical-failure", None, None)
 
-    margin_sol = _max_margin(p, params, x_eq)
+    margin_sol = _max_margin(p, x_eq)
     if margin_sol.status != "ok":
         return SdpSolution("numerical-failure", None, None, newton_steps=margin_sol.steps)
     tau = margin_sol.tau
     gap = margin_sol.gap
     steps = margin_sol.steps
 
-    if tau + gap < -params.feas_tol:
+    if tau + gap < -FEAS_TOL:
         cert = margin_sol.certificate
-        status = "infeasible" if _certified(cert, params) else "numerical-failure"
+        status = "infeasible" if _certified(cert) else "numerical-failure"
         return SdpSolution(status, None, None, margin=tau, gap=gap,
                            certificate=cert, newton_steps=steps)
 
-    if tau < -params.feas_tol:
+    if tau < -FEAS_TOL:
         return SdpSolution("numerical-failure", None, None, margin=tau, gap=gap, newton_steps=steps)
 
     margins = p.margins(margin_sol.x)
@@ -456,10 +459,10 @@ def solve(problem: SdpProblem, params: SdpParams | None = None) -> SdpSolution:
                        gap=gap, newton_steps=steps)
 
 
-def _certified(cert, params: SdpParams) -> bool:
+def _certified(cert) -> bool:
     """Does an infeasibility certificate pass its value and residual checks?"""
     return (cert is not None and cert["value"] <= -CERT_TOL
-            and cert["residual"] <= params.feas_tol * cert["scale"])
+            and cert["residual"] <= FEAS_TOL * cert["scale"])
 
 
 @dataclass
@@ -483,7 +486,7 @@ def _margin_blocks(p: SdpProblem):
     return ext + _box_blocks(n, n + 1, BOX)
 
 
-def _max_margin(p: SdpProblem, params: SdpParams, x_eq) -> _MarginResult:
+def _max_margin(p: SdpProblem, x_eq) -> _MarginResult:
     n = p.n
     blocks = _margin_blocks(p)
     nu = sum(b.shape[-1] for b in blocks)
@@ -498,8 +501,6 @@ def _max_margin(p: SdpProblem, params: SdpParams, x_eq) -> _MarginResult:
     c_obj = np.zeros(n + 1)
     c_obj[n] = -1.0
 
-    target = min(params.gap_tol, CERT_TOL / 10, params.feas_tol / 10)
-    decisive = max(10.0 * params.feas_tol, 1e-6)
     cones = _group_blocks(blocks)
     t = 1.0
     x = x0
@@ -517,16 +518,16 @@ def _max_margin(p: SdpProblem, params: SdpParams, x_eq) -> _MarginResult:
             break
         total += used + 1
         tau = float(x[n])
-        if tau >= decisive:
+        if tau >= DECISIVE:
             # the iterate itself proves strict feasibility; refining the
             # margin further only pushes x toward the box scale
             return _MarginResult("ok", tau, nu / t, x[:n], None, total)
-        if tau + nu / t < -params.feas_tol:
+        if tau + nu / t < -FEAS_TOL:
             cert = _margin_certificate(p, x, t)
-            if _certified(cert, params):
+            if _certified(cert):
                 return _MarginResult("ok", tau, nu / t, x[:n], cert, total)
         last = (x, t)
-        if nu / t <= target:
+        if nu / t <= GAP_TOL:
             break
         t *= MU
 

@@ -163,9 +163,13 @@ class TestInterval:
         iv = bounds.psd_rank_interval(np.zeros((2, 2)))
         assert (iv.lower, iv.upper) == (0, 0)
 
-    def test_rank_two_is_exact_without_solver(self):
+    def test_rank_two_is_exact_without_solver(self, monkeypatch):
+        def no_ellipse(m):
+            raise AssertionError("rank <= 2 must not reach the ellipse program")
+
+        monkeypatch.setattr(geometry, "decide_psd_rank_le_2", no_ellipse)
         m = np.outer([1.0, 2.0], [1.0, 1.0]) + np.outer([0.0, 1.0], [2.0, 1.0])
-        iv = bounds.psd_rank_interval(m, BoundOptions(use_ellipse=False))
+        iv = bounds.psd_rank_interval(m)
         assert (iv.lower, iv.upper) == (2, 2)
 
     def test_invalid_interval_rejected(self):
@@ -190,7 +194,7 @@ class TestInterval:
 UNDECIDED = np.array([[0, 3, 2], [1, 3, 4], [1, 1, 1], [2, 1, 0]], dtype=float)
 
 
-def undecided_solve(problem, params=None):
+def undecided_solve(problem):
     return sdp.SdpSolution("numerical-failure", None, None)
 
 

@@ -62,7 +62,7 @@ class TestBounds:
         assert any(c.get("kind") == "ellipse" for c in doc["certificates"] if c)
 
     def test_undecided_ellipse_still_gives_an_interval(self, tmp_path, capsys, monkeypatch):
-        def undecided(problem, params=None):
+        def undecided(problem):
             return sdp.SdpSolution("numerical-failure", None, None)
 
         monkeypatch.setattr(sdp, "solve", undecided)
@@ -120,6 +120,18 @@ class TestRank2AndExtract:
         assert doc["psd_rank_le_2"] is False
         assert doc["certificate"] is None
         assert not (tmp_path / "e.json").exists()
+
+
+    def test_feasibility_tolerance_is_not_settable(self, tmp_path, capsys, monkeypatch):
+        # at feasibility tolerance 0.05 the solver would call this no-instance
+        # a yes and write an ellipse that certify rejects
+        monkeypatch.setenv("PSDRANK_FEAS_TOL", "0.05")
+        mpath = write_matrix(tmp_path, families.circulant3(1.0, 0.0, 0.7))
+        epath = tmp_path / "e.json"
+        code, doc = run(capsys, ["rank2", mpath, "-o", str(epath)])
+        assert code == 1
+        assert doc == {"psd_rank_le_2": False, "certificate": None}
+        assert not epath.exists()
 
 
 class TestVerify:
@@ -284,7 +296,7 @@ class TestRegion:
         assert len(lines) == 1 + 9
 
     def test_numerical_failure_marks_cell(self, capsys, monkeypatch):
-        def boom(m, params=None):
+        def boom(m):
             raise NumericalFailure("no")
         monkeypatch.setattr(geometry, "decide_psd_rank_le_2", boom)
         code = cli.main(["region", "circulant", "--grid", "2"])
@@ -353,6 +365,32 @@ class TestTopLevel:
             "negative-grid", "extract-empty"])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, argv):
         assert cli.main(argv(tmp_path)) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,doc", [
+        ("bounds", {"rows": "two", "cols": 2, "data": [[1, 0], [0, 1]]}),
+        ("bounds", {"rows": 2.5, "cols": 2, "data": [[1, 0], [0, 1]]}),
+        ("sdp-solve", {"n": "abc", "blocks": []}),
+        ("sdp-solve", {"n": 1, "blocks": [[{"rows": 1, "cols": 1, "data": [[1]]},
+                                           {"rows": 1, "cols": 1, "data": [[0]]}]],
+                       "eq_a": {"rows": 1, "cols": 1, "data": [[1]]}, "eq_d": ["x"]}),
+        ("extract-fact", {"theta": {"rows": 3, "cols": 3, "data": np.eye(3).tolist()},
+                          "multipliers": ["x", 0, 0]}),
+        ("from-protocol", {"k": "abc", "alice": [], "bob": [], "rho": {}}),
+    ], ids=["bounds-rows", "bounds-fraction", "sdp-n", "sdp-eq-d", "extract-multiplier",
+            "protocol-k"])
+    def test_malformed_number_in_file_is_input_error(self, tmp_path, capsys, command, doc):
+        path = tmp_path / "in.json"
+        formats.dump_json(doc, path)
+        argv = {
+            "bounds": ["bounds", str(path)],
+            "sdp-solve": ["sdp-solve", str(path)],
+            "extract-fact": ["extract-fact", write_matrix(tmp_path, np.eye(3)), str(path),
+                             "-o", str(tmp_path / "f.json")],
+            "from-protocol": ["quantum", "from-protocol", str(path),
+                              "-o", str(tmp_path / "f.json")],
+        }[command]
+        assert cli.main(argv) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):

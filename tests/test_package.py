@@ -1,12 +1,16 @@
-"""Package guards: numpy is the only third-party import, and every name in
-psdrank.__all__ resolves."""
+"""Package guards: numpy is the only third-party import, every name in
+psdrank.__all__ resolves, and the README documents exactly the environment
+variables the CLI reads."""
 import ast
+import re
 import sys
 from pathlib import Path
 
 import psdrank
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "psdrank"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "psdrank"
+ENV_VAR = re.compile(r"PSDRANK_[A-Z_]+")
 
 
 def test_imports_are_relative_numpy_or_stdlib():
@@ -30,3 +34,10 @@ def test_imports_are_relative_numpy_or_stdlib():
 
 def test_exports_resolve():
     assert [name for name in psdrank.__all__ if not hasattr(psdrank, name)] == []
+
+
+def test_readme_lists_the_environment_variables_the_cli_reads():
+    documented = set(ENV_VAR.findall((ROOT / "README.md").read_text()))
+    read = set(ENV_VAR.findall((SRC / "cli.py").read_text()))
+    assert read
+    assert documented == read
