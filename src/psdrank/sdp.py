@@ -411,9 +411,13 @@ def solve(problem: SdpProblem) -> SdpSolution:
     margins are at least -FEAS_TOL; "infeasible" with a certificate that was
     re-verified numerically (inconsistent equalities, or a trace-1
     separating dual of value at most -CERT_TOL); or "numerical-failure"
-    when the margin and the dual settle neither answer. The path stops
-    once it proves an answer or its duality gap reaches GAP_TOL.
-    Deterministic.
+    when the margin and the dual settle neither answer.
+
+    The max-margin path runs in (x, tau), growing its parameter t by MU per
+    centering stage. A stage ends it as soon as tau reaches DECISIVE or the
+    stage's dual passes _certified; otherwise it stops once its duality gap
+    nu / t reaches GAP_TOL, or at the last finished stage when a centering
+    fails. Deterministic.
     """
     p = problem
     n = p.n
@@ -438,24 +442,52 @@ def solve(problem: SdpProblem) -> SdpSolution:
     if np.max(np.abs(x_eq), initial=0.0) > 0.9 * BOX:
         return SdpSolution("numerical-failure", None, None)
 
-    margin_sol = _max_margin(p, x_eq)
-    if margin_sol.status != "ok":
-        return SdpSolution("numerical-failure", None, None, newton_steps=margin_sol.steps)
-    tau = margin_sol.tau
-    gap = margin_sol.gap
-    steps = margin_sol.steps
+    blocks = _margin_blocks(p)
+    nu = sum(b.shape[-1] for b in blocks)
+    tau0 = min(p.margins(x_eq).min(), 1.0) - 1.0
+    x = np.concatenate([x_eq, [tau0]])
+    eq = None if p.eq_a is None else np.hstack([p.eq_a, np.zeros((p.eq_a.shape[0], 1))])
+    c_obj = np.zeros(n + 1)
+    c_obj[n] = -1.0
+    cones = _group_blocks(blocks)
+    t = 1.0
+    steps = 0
+    last = None
+    while True:
+        try:
+            x, used = _center(cones, t * c_obj, x, eq)
+        except NumericalFailure:
+            # keep the last finished stage: the decision bands stay sound
+            # at any achieved gap, and deeper t values exceed float64 anyway
+            if last is None:
+                return SdpSolution("numerical-failure", None, None, newton_steps=steps)
+            x, t = last
+            break
+        steps += used + 1
+        tau, gap = float(x[n]), nu / t
+        if tau >= DECISIVE:
+            # the iterate itself proves strict feasibility; refining the
+            # margin further only pushes x toward the box scale
+            break
+        if tau + gap < -FEAS_TOL:
+            cert = _margin_certificate(p, x, t)
+            if _certified(cert):
+                return SdpSolution("infeasible", None, None, margin=tau, gap=gap,
+                                   certificate=cert, newton_steps=steps)
+        last = (x, t)
+        if gap <= GAP_TOL:
+            break
+        t *= MU
 
-    if tau + gap < -FEAS_TOL:
-        cert = margin_sol.certificate
-        status = "infeasible" if _certified(cert) else "numerical-failure"
-        return SdpSolution(status, None, None, margin=tau, gap=gap,
-                           certificate=cert, newton_steps=steps)
-
+    tau, gap = float(x[n]), nu / t
     if tau < -FEAS_TOL:
-        return SdpSolution("numerical-failure", None, None, margin=tau, gap=gap, newton_steps=steps)
-
-    margins = p.margins(margin_sol.x)
-    return SdpSolution("feasible", margin_sol.x, margins, margin=float(margins.min()),
+        # every stage that ends the loop here already had its dual, if it
+        # separates at all, rejected by _certified above
+        cert = _margin_certificate(p, x, t) if tau + gap < -FEAS_TOL else None
+        return SdpSolution("numerical-failure", None, None, margin=tau, gap=gap,
+                           certificate=cert, newton_steps=steps)
+    margins = p.margins(x[:n])
+    return SdpSolution("feasible", x[:n], margins, margin=float(margins.min()),
                        gap=gap, newton_steps=steps)
 
 
@@ -463,16 +495,6 @@ def _certified(cert) -> bool:
     """Does an infeasibility certificate pass its value and residual checks?"""
     return (cert is not None and cert["value"] <= -CERT_TOL
             and cert["residual"] <= FEAS_TOL * cert["scale"])
-
-
-@dataclass
-class _MarginResult:
-    status: str
-    tau: float = 0.0
-    gap: float = np.inf
-    x: np.ndarray | None = None
-    certificate: dict | None = None
-    steps: int = 0
 
 
 def _margin_blocks(p: SdpProblem):
@@ -484,57 +506,6 @@ def _margin_blocks(p: SdpProblem):
     cap[n + 1, 0, 0] = -1.0
     ext.append(cap)
     return ext + _box_blocks(n, n + 1, BOX)
-
-
-def _max_margin(p: SdpProblem, x_eq) -> _MarginResult:
-    n = p.n
-    blocks = _margin_blocks(p)
-    nu = sum(b.shape[-1] for b in blocks)
-    base_margin = p.margins(x_eq).min()
-    tau0 = min(base_margin, 1.0) - 1.0
-    x0 = np.concatenate([x_eq, [tau0]])
-
-    eq = None
-    if p.eq_a is not None:
-        eq = np.hstack([p.eq_a, np.zeros((p.eq_a.shape[0], 1))])
-
-    c_obj = np.zeros(n + 1)
-    c_obj[n] = -1.0
-
-    cones = _group_blocks(blocks)
-    t = 1.0
-    x = x0
-    total = 0
-    last = None
-    while True:
-        try:
-            x, used = _center(cones, t * c_obj, x, eq)
-        except NumericalFailure:
-            # keep the last finished stage: the decision bands stay sound
-            # at any achieved gap, and deeper t values exceed float64 anyway
-            if last is None:
-                return _MarginResult("failed", steps=total)
-            x, t = last
-            break
-        total += used + 1
-        tau = float(x[n])
-        if tau >= DECISIVE:
-            # the iterate itself proves strict feasibility; refining the
-            # margin further only pushes x toward the box scale
-            return _MarginResult("ok", tau, nu / t, x[:n], None, total)
-        if tau + nu / t < -FEAS_TOL:
-            cert = _margin_certificate(p, x, t)
-            if _certified(cert):
-                return _MarginResult("ok", tau, nu / t, x[:n], cert, total)
-        last = (x, t)
-        if nu / t <= GAP_TOL:
-            break
-        t *= MU
-
-    tau = float(x[n])
-    gap = nu / t
-    cert = _margin_certificate(p, x, t)
-    return _MarginResult("ok", tau, gap, x[:n], cert, total)
 
 
 def _margin_certificate(p: SdpProblem, x_full, t):
