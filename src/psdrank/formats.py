@@ -43,6 +43,13 @@ def _entry_in(x, where):
     raise InputError(f"{where}: entries must be numbers or [re, im] pairs")
 
 
+def _items(x, what: str) -> list:
+    """x itself if it is a JSON list; anything else is refused."""
+    if not isinstance(x, list):
+        raise InputError(f"{what} must be a list, got {type(x).__name__}")
+    return x
+
+
 def encode_matrix(m) -> dict:
     arr = np.asarray(m)
     if arr.ndim != 2:
@@ -88,8 +95,8 @@ def decode_factorization(obj) -> PsdFactorization:
     field = obj.get("field")
     if field is not None and field not in _FIELDS:
         raise InputError(f"factorization: field must be one of {_FIELDS}")
-    rows = [decode_matrix(a, "row factor") for a in obj["row_factors"]]
-    cols = [decode_matrix(b, "col factor") for b in obj["col_factors"]]
+    rows = [decode_matrix(a, "row factor") for a in _items(obj["row_factors"], "row_factors")]
+    cols = [decode_matrix(b, "col factor") for b in _items(obj["col_factors"], "col_factors")]
     return make_factorization(rows, cols, field=field)
 
 
@@ -104,7 +111,8 @@ def decode_ellipse(obj) -> Ellipse:
     if not isinstance(obj, dict) or not {"theta", "multipliers"} <= set(obj):
         raise InputError("ellipse: expected keys theta, multipliers")
     theta = decode_matrix(obj["theta"], "ellipse theta")
-    mults = tuple(linalg.as_float(x, "ellipse multiplier") for x in obj["multipliers"])
+    mults = tuple(linalg.as_float(x, "ellipse multiplier")
+                  for x in _items(obj["multipliers"], "ellipse multipliers"))
     return Ellipse(theta, mults)
 
 
@@ -123,8 +131,8 @@ def decode_protocol(obj):
     if not isinstance(obj, dict) or not {"k", "alice", "bob", "rho"} <= set(obj):
         raise InputError("protocol: expected keys k, alice, bob, rho")
     k = linalg.as_int(obj["k"], "protocol k")
-    alice = Povm([decode_matrix(e, "alice element") for e in obj["alice"]])
-    bob = Povm([decode_matrix(e, "bob element") for e in obj["bob"]])
+    alice = Povm([decode_matrix(e, "alice element") for e in _items(obj["alice"], "alice")])
+    bob = Povm([decode_matrix(e, "bob element") for e in _items(obj["bob"], "bob")])
     rho = decode_matrix(obj["rho"], "state")
     return CorrelationProtocol(k, alice, bob, rho)
 
@@ -138,7 +146,8 @@ def decode_gram(obj):
 
     if not isinstance(obj, dict) or "factors" not in obj:
         raise InputError("gram: expected key factors")
-    return SymmetricGram([decode_matrix(a, "gram factor") for a in obj["factors"]])
+    return SymmetricGram([decode_matrix(a, "gram factor")
+                          for a in _items(obj["factors"], "gram factors")])
 
 
 def encode_problem(pb) -> dict:
@@ -156,7 +165,8 @@ def decode_problem(obj):
     if not isinstance(obj, dict) or not {"n", "blocks"} <= set(obj):
         raise InputError("problem: expected keys n, blocks")
     n = linalg.as_int(obj["n"], "problem n")
-    blocks = [[decode_matrix(g, "block term") for g in blk] for blk in obj["blocks"]]
+    blocks = [[decode_matrix(g, "block term") for g in _items(blk, "block")]
+              for blk in _items(obj["blocks"], "problem blocks")]
     c = obj.get("c")
     if c is not None and (not isinstance(c, list) or any(_entry_in(x, "c") != 0 for x in c)):
         raise InputError("problem: only feasibility is solved; c must be absent or zero")
@@ -166,7 +176,8 @@ def decode_problem(obj):
         n,
         blocks,
         eq_a=None if eq_a is None else decode_matrix(eq_a, "eq_a"),
-        eq_d=None if eq_d is None else np.array([linalg.as_float(x, "eq_d entry") for x in eq_d]),
+        eq_d=None if eq_d is None else np.array([linalg.as_float(x, "eq_d entry")
+                                                 for x in _items(eq_d, "eq_d")]),
     )
 
 

@@ -7,6 +7,11 @@ ellipse E satisfies P inside E inside Q; that containment is an SDP in the
 quadratic form of E, with one multiplier per facet of Q tying E inside each
 halfplane. A certifying ellipse converts into an explicit size-2
 factorization through a fixed linear section of the 2x2 psd cone.
+
+The question is invariant under affine maps of the plane, so the pair is
+built in one chart: P is centered on its principal axes, read off one SVD
+of the centered slack matrix. The solver sees that chart scaled per axis
+(_frame), and its ellipse comes back to the chart by the same diagonal map.
 """
 from __future__ import annotations
 
@@ -89,10 +94,12 @@ def slack_matrix(p: PolytopeV, q: PolyhedronH, tol: float = DEFAULT_TOL) -> np.n
 def polytopes_from_matrix(m, tol: float = DEFAULT_TOL) -> SandwichPair:
     """Sandwich pair in R^(rank-1) whose slack matrix is the row-normalized input.
 
-    Rows are rescaled to sum to one (a psd-rank-preserving diagonal scaling),
-    a rank factorization is adjusted so both halves have unit row sums, and
-    the affine chart dropping the last coordinate turns its rows into
-    vertices and its columns into inequalities.
+    Rows are rescaled to sum to one (a psd-rank-preserving diagonal
+    scaling), giving N with column mean c. N - 1 c^T = U S V^T has rank
+    rank(N) - 1, since N 1 = 1; keeping those terms, vertex i is row i of
+    U S and facet j is -V_j . x <= c_j, so the slacks c_j + (U S V^T)_ij
+    are N exactly. The vertices come out centered, on uncorrelated axes
+    with variances S_k^2 / p (the principal axes of the vertex set).
     """
     mm = linalg.as_nonnegative(m, tol)
     sums = mm.sum(axis=1)
@@ -100,34 +107,10 @@ def polytopes_from_matrix(m, tol: float = DEFAULT_TOL) -> SandwichPair:
         raise InputError("every row must have positive sum")
     norm = mm / sums[:, None]
 
-    u, v = linalg.rank_factorization(norm, tol)
-    r = u.shape[1]
-    z = v @ np.ones(v.shape[1])
-    rot = _ones_completion(z)
-    a = u @ np.linalg.inv(rot)
-    b = rot @ v
-
-    verts = a[:, : r - 1]
-    normals = (b[r - 1, :][None, :] - b[: r - 1, :]).T
-    offsets = b[r - 1, :]
-    return SandwichPair(PolytopeV(verts), PolyhedronH(normals, offsets))
-
-
-def _ones_completion(z: np.ndarray) -> np.ndarray:
-    """Invertible R with R z = all-ones, built from a Householder reflection."""
-    r = z.size
-    nz = np.linalg.norm(z)
-    if nz <= 0:
-        raise InputError("rank factorization has a zero row-sum vector")
-    w = z / nz - np.eye(r)[:, 0]
-    wn = np.linalg.norm(w)
-    if wn > 1e-12:
-        h = np.eye(r) - 2.0 * np.outer(w, w) / (wn * wn)
-    else:
-        h = np.eye(r)
-    s = np.eye(r)
-    s[:, 0] = 1.0 / nz
-    return s @ h
+    k = linalg.numerical_rank(norm, tol) - 1
+    offsets = norm.mean(axis=0)
+    u, s, vt = np.linalg.svd(norm - offsets, full_matrices=False)
+    return SandwichPair(PolytopeV(u[:, :k] * s[:k]), PolyhedronH(-vt[:k].T, offsets))
 
 
 # ---------------------------------------------------------------------------
@@ -282,35 +265,32 @@ def _solution_to_ellipse(x: np.ndarray, f: int) -> Ellipse:
     return Ellipse(theta, lams)
 
 
-# eigenvalue floor of the whitening frame, relative to the vertex spread:
-# a full whitening stretches thin pairs until the ellipse degenerates
+# variance floor of the whitening frame, relative to the total vertex
+# variance: a full whitening stretches thin pairs until the ellipse degenerates
 FRAME_RIDGE = 1e-2
 
 
 def _frame(pair: SandwichPair):
-    """(framed pair, h, s): the pair under the affine map y = L (x - mean),
-    each facet divided by the length s_j of its new normal.
+    """(framed pair, h, s): the pair under the diagonal map y = d * x, each
+    facet divided by the length s_j of its new normal.
 
-    mean and C are the vertex mean and covariance,
-    L = (C + FRAME_RIDGE tr(C) I)^-1/2, and h = [[L, -L mean], [0, 1]]
-    maps (x, 1) to (y, 1). A facet whose normal is numerically zero (a
-    constant column: the halfplane is the whole plane) keeps s_j = 1.
+    The vertices of a polytopes_from_matrix pair are centered on
+    uncorrelated axes, so with v_k the mean of x_k^2 over the vertices,
+    d_k = (v_k + FRAME_RIDGE sum(v))^-1/2 whitens them, and h = diag(d, 1)
+    maps (y, 1) back to (x, 1) by congruence. A facet whose normal is
+    numerically zero (a constant column: the halfplane is the whole plane)
+    keeps s_j = 1.
     """
     verts = pair.inner.vertices
-    mean = verts.mean(axis=0)
-    dev = verts - mean
-    cov = dev.T @ dev / len(verts)
-    lmap = linalg.psd_roots(cov + FRAME_RIDGE * np.trace(cov) * np.eye(2)).inv_sqrt
-    h = np.eye(3)
-    h[:2, :2] = lmap
-    h[:2, 2] = -lmap @ mean
-    # a . x <= b reads (L^-1 a) . y <= b - a . mean
-    normals = pair.outer.normals @ np.linalg.inv(lmap)
-    offsets = pair.outer.offsets - pair.outer.normals @ mean
+    var = np.mean(verts * verts, axis=0)
+    d = 1.0 / np.sqrt(var + FRAME_RIDGE * var.sum())
+    # a . x <= b reads (a / d) . y <= b
+    normals = pair.outer.normals / d
+    offsets = pair.outer.offsets
     s = np.linalg.norm(normals, axis=1)
     s = np.where(s > DEFAULT_TOL * np.abs(offsets), s, 1.0)
-    framed = SandwichPair(PolytopeV(dev @ lmap), PolyhedronH(normals / s[:, None], offsets / s))
-    return framed, h, s
+    framed = SandwichPair(PolytopeV(verts * d), PolyhedronH(normals / s[:, None], offsets / s))
+    return framed, np.diag(np.append(d, 1.0)), s
 
 
 def decide_psd_rank_le_2(m):
@@ -318,13 +298,15 @@ def decide_psd_rank_le_2(m):
 
     Matrices of usual rank <= 2 are a yes without a certificate (psd rank is
     at most the rank); rank >= 4 is a no since a size-2 factorization forces
-    rank <= 3. The rank-3 core builds the planar pair and solves the ellipse
-    containment program on its _frame, where the vertices have about unit
-    spread and every facet a unit normal; near the boundary of the psd-rank-2
-    region the raw pair's scales leave the margin and the dual both short of
-    a decision. A framed ellipse Theta' with multipliers lambda' maps back to
-    Theta = h^T Theta' h and lambda_j = lambda'_j / s_j, divided by the trace
-    of the quadratic part; boundary-tight certificates are accepted.
+    rank <= 3. The rank-3 core builds the planar pair of polytopes_from_matrix
+    and solves the ellipse containment program on its _frame, where the
+    vertices have about unit spread and every facet a unit normal; near the
+    boundary of the psd-rank-2 region the raw pair's scales leave the margin
+    and the dual both short of a decision. A framed ellipse Theta' with
+    multipliers lambda' maps back to Theta = h Theta' h and
+    lambda_j = lambda'_j / s_j, divided by the trace of the quadratic part,
+    so the certificate is for the pair polytopes_from_matrix(m) itself;
+    boundary-tight certificates are accepted.
     """
     mm = linalg.as_matrix(m)
     r = linalg.numerical_rank(mm)
@@ -338,7 +320,7 @@ def decide_psd_rank_le_2(m):
     sol = sdp.solve(ellipse_program(framed))
     if sol.status == "feasible":
         e = _solution_to_ellipse(sol.x, s.size)
-        theta = h.T @ e.theta @ h
+        theta = h @ e.theta @ h
         tr = float(np.trace(theta[:2, :2]))
         return True, Ellipse(theta / tr, e.multipliers / s / tr)
     if sol.status == "infeasible":

@@ -135,20 +135,13 @@ def eig_extremes(stack, name: str = "matrix"):
 
 
 def check_psd_stack(mats, tol: float = DEFAULT_TOL, name: str = "matrix") -> None:
-    """is_psd over a list of equal-size symmetric matrices by one eig_extremes
-    call; the InputError names the first that fails."""
+    """Psd test, min eigenvalue >= -tol * (1 + max |entry|), over a list of
+    equal-size symmetric matrices by one eig_extremes call; the InputError
+    names the first that fails."""
     stack = np.stack(mats)
     bad = np.nonzero(eig_extremes(stack, name)[0] < -tol * scales_of(stack))[0]
     if bad.size:
         raise InputError(f"{name} {bad[0]} is not psd")
-
-
-def is_psd(m, tol: float = DEFAULT_TOL) -> bool:
-    """Symmetric/Hermitian psd test: min eigenvalue >= -tol * (1 + max |entry|)."""
-    a = check_symmetric(m)
-    if a.size == 0:
-        return True
-    return min_eig(a) >= -tol * scale_of(a)
 
 
 def vecm(m) -> np.ndarray:
@@ -204,11 +197,6 @@ def block_diag(*mats) -> np.ndarray:
         out[r:r + m.shape[0], c:c + m.shape[1]] = m
         r, c = r + m.shape[0], c + m.shape[1]
     return out
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the row-major pairing (i,s),(j,t) -> a[i,j] b[s,t]."""
-    return np.kron(as_matrix(a, "a"), as_matrix(b, "b"))
 
 
 def pair_value(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> float:

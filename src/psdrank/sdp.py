@@ -5,10 +5,10 @@ Problems are affine sections of psd cones: each block is a coefficient list
 equalities. solve decides whether the section is nonempty through an
 always-strictly-feasible max-margin reformulation: maximize tau subject to
 every block minus tau I staying psd, in a box |x_i| <= BOX. A plain
-logarithmic-barrier path follower with Newton centering runs it; its
-iterate is the answer on the feasible side, and on the infeasible side the
-barrier's dual, normalized to trace 1 and re-verified, is a separating
-certificate. solve takes no settings: GAP_TOL, FEAS_TOL and the other
+logarithmic-barrier path follower with Newton centering runs it inside
+solve; its iterate is the answer on the feasible side, and on the
+infeasible side the barrier's dual, normalized to trace 1 and re-verified,
+is a separating certificate. solve takes no settings: GAP_TOL, FEAS_TOL and the other
 tolerances below are module constants. Everything is dense and
 deterministic; intended for block sizes up to ~30 and a few hundred
 variables.

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -377,8 +381,24 @@ class TestTopLevel:
         ("extract-fact", {"theta": {"rows": 3, "cols": 3, "data": np.eye(3).tolist()},
                           "multipliers": ["x", 0, 0]}),
         ("from-protocol", {"k": "abc", "alice": [], "bob": [], "rho": {}}),
+        ("extract-fact", {"theta": {"rows": 3, "cols": 3, "data": np.eye(3).tolist()},
+                          "multipliers": 5}),
+        ("sdp-solve", {"n": 1, "blocks": 7}),
+        ("sdp-solve", {"n": 1, "blocks": [7]}),
+        ("sdp-solve", {"n": 1, "blocks": [[{"rows": 1, "cols": 1, "data": [[1]]},
+                                           {"rows": 1, "cols": 1, "data": [[0]]}]],
+                       "eq_a": {"rows": 1, "cols": 1, "data": [[1]]}, "eq_d": 1}),
+        ("from-protocol", {"k": 1, "alice": 3, "bob": [], "rho": {}}),
+        ("from-protocol", {"k": 1, "alice": [{"rows": 1, "cols": 1, "data": [[1]]}],
+                           "bob": 3, "rho": {}}),
+        ("verify", {"row_factors": 3, "col_factors": []}),
+        ("verify", {"row_factors": [], "col_factors": 3}),
+        ("cpsd-verify", {"factors": 3}),
     ], ids=["bounds-rows", "bounds-fraction", "sdp-n", "sdp-eq-d", "extract-multiplier",
-            "protocol-k"])
+            "protocol-k", "extract-multipliers-number", "sdp-blocks-number",
+            "sdp-block-number", "sdp-eq-d-number", "protocol-alice-number",
+            "protocol-bob-number", "verify-rows-number", "verify-cols-number",
+            "cpsd-factors-number"])
     def test_malformed_number_in_file_is_input_error(self, tmp_path, capsys, command, doc):
         path = tmp_path / "in.json"
         formats.dump_json(doc, path)
@@ -389,9 +409,27 @@ class TestTopLevel:
                              "-o", str(tmp_path / "f.json")],
             "from-protocol": ["quantum", "from-protocol", str(path),
                               "-o", str(tmp_path / "f.json")],
+            "verify": ["verify", write_matrix(tmp_path, np.eye(3)), str(path)],
+            "cpsd-verify": ["cpsd", "verify", write_matrix(tmp_path, np.eye(3)), str(path)],
         }[command]
         assert cli.main(argv) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_closed_stdout_exits_one_without_traceback(self):
+        # the matrix is about 1 MB of JSON, far beyond a pipe buffer, so the
+        # writer is still printing when the reader closes the pipe
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        with subprocess.Popen(
+                [sys.executable, "-c", "import sys; from psdrank.cli import main; sys.exit(main())",
+                 "gen", "identity", "300"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.readline().strip() == b"{"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err
+        assert err == ""
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         def boom(m, opts=None):

@@ -91,6 +91,22 @@ class TestPolytopesFromMatrix:
         with pytest.raises(InputError):
             geometry.polytopes_from_matrix(np.zeros(shape))
 
+    @pytest.mark.parametrize("make", [
+        lambda by_name: by_name["derangement3"].matrix,
+        lambda by_name: by_name["square-slack"].matrix,
+        lambda by_name: by_name["nested-squares-circle"].matrix,
+        lambda by_name: families.circulant3(1.0, 1.5, 1.2),
+        lambda by_name: families.nested_rectangles(0.3, 0.7),
+    ], ids=["derangement3", "square-slack", "nested-squares-circle", "circulant3",
+            "nested-rectangles"])
+    def test_vertices_are_centered_on_uncorrelated_axes(self, by_name, make):
+        # _frame whitens by the per-axis variances alone, which needs this chart
+        verts = geometry.polytopes_from_matrix(make(by_name)).inner.vertices
+        assert np.max(np.abs(verts.mean(axis=0))) <= 1e-12
+        cov = verts.T @ verts / len(verts)
+        off = cov - np.diag(np.diag(cov))
+        assert np.max(np.abs(off)) <= 1e-12 * np.trace(cov)
+
     def test_dimension_matches_rank_minus_one(self):
         m = families.circulant3(1.0, 1.5, 1.2)
         pair = geometry.polytopes_from_matrix(m)

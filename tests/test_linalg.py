@@ -28,22 +28,6 @@ class TestNumericalRank:
         assert linalg.numerical_rank(m, tol=1e-14) == 2
 
 
-class TestIsPsd:
-    def test_difference_form(self):
-        assert linalg.is_psd(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-
-    def test_identity(self):
-        assert linalg.is_psd(np.eye(3))
-
-    def test_swap_matrix_is_indefinite(self):
-        assert not linalg.is_psd(np.array([[0.0, 1.0], [1.0, 0.0]]))
-
-    def test_tolerance_is_relative_to_scale(self):
-        # a tiny negative eigenvalue on a large matrix still counts as psd
-        assert linalg.is_psd(np.diag([-1e-4, 1e6]))
-        assert not linalg.is_psd(np.diag([-1e-4, 1.0]))
-
-
 class TestEigExtremes:
     def test_matches_per_matrix_eigenvalues(self):
         rng = np.random.default_rng(8)
@@ -137,30 +121,6 @@ class TestBlockDiag:
         expected = np.diag([1.0, 0.0, 0.0, 1j])
         expected[1:3, 1:3] = 2.0
         assert out.dtype == np.complex128 and np.array_equal(out, expected)
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_scalar_second_factor(self):
-        out = linalg.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[2.0]]))
-        assert np.array_equal(out, np.array([[0.0, 2.0], [2.0, 0.0]]))
-
-    def test_rank_multiplicative(self):
-        rng = np.random.default_rng(5)
-        m = rng.standard_normal((3, 3))
-        n = rng.standard_normal((2, 2))
-        assert linalg.numerical_rank(linalg.kron(m, n)) == (
-            linalg.numerical_rank(m) * linalg.numerical_rank(n)
-        )
-
-    def test_mixed_product_property(self):
-        rng = np.random.default_rng(6)
-        a, b, c, d = (rng.standard_normal((2, 2)) for _ in range(4))
-        lhs = linalg.kron(a, b) @ linalg.kron(c, d)
-        rhs = linalg.kron(a @ c, b @ d)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 def test_psd_pairs_have_nonnegative_inner_product():

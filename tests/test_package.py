@@ -1,12 +1,15 @@
 """Package guards: numpy is the only third-party import, every name in
-psdrank.__all__ resolves, and the README documents exactly the environment
-variables the CLI reads."""
+psdrank.__all__ resolves, every public psdrank.linalg function has a caller
+in the package, and the README documents exactly the environment variables
+the CLI reads."""
 import ast
+import inspect
 import re
 import sys
 from pathlib import Path
 
 import psdrank
+from psdrank import linalg
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "psdrank"
@@ -34,6 +37,30 @@ def test_imports_are_relative_numpy_or_stdlib():
 
 def test_exports_resolve():
     assert [name for name in psdrank.__all__ if not hasattr(psdrank, name)] == []
+
+
+def test_every_public_linalg_function_is_called_in_the_package():
+    public = {name for name, fn in inspect.getmembers(linalg, inspect.isfunction)
+              if fn.__module__ == linalg.__name__ and not name.startswith("_")}
+    called = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        # bare names count only where they are linalg's: inside linalg.py
+        # or imported from it; np.kron and the like never count
+        bare = public if path.name == "linalg.py" else {
+            alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level and node.module == "linalg"
+            for alias in node.names}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            fn = node.func
+            if isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name) \
+                    and fn.value.id == "linalg":
+                called.add(fn.attr)
+            elif isinstance(fn, ast.Name) and fn.id in bare:
+                called.add(fn.id)
+    assert sorted(public - called) == []
 
 
 def test_readme_lists_the_environment_variables_the_cli_reads():
