@@ -277,9 +277,9 @@ def _frame(pair: SandwichPair):
     The vertices of a polytopes_from_matrix pair are centered on
     uncorrelated axes, so with v_k the mean of x_k^2 over the vertices,
     d_k = (v_k + FRAME_RIDGE sum(v))^-1/2 whitens them, and h = diag(d, 1)
-    maps (y, 1) back to (x, 1) by congruence. A facet whose normal is
-    numerically zero (a constant column: the halfplane is the whole plane)
-    keeps s_j = 1.
+    maps (x, 1) to (y, 1), so a framed form Theta' pulls back to
+    h Theta' h. A facet whose normal is numerically zero (a constant column:
+    the halfplane is the whole plane) keeps s_j = 1.
     """
     verts = pair.inner.vertices
     var = np.mean(verts * verts, axis=0)
