@@ -12,13 +12,13 @@ each set of positive multiples; neither step changes the psd rank.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import comb, isqrt
+from math import comb
 
 import numpy as np
 
-from . import linalg
+from . import geometry, linalg
 from .errors import InputError, NumericalFailure, ResourceError
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, rank_to_min_size
 
 
 # free sign bits the square-root rank search may enumerate by default
@@ -61,12 +61,6 @@ class SqrtRankResult:
     value: int
     witness: np.ndarray
     patterns_searched: int
-
-
-def rank_to_min_size(r: int) -> int:
-    """Smallest k with r <= k(k+1)/2; matrices of rank r need psd factors this big."""
-    k = (isqrt(8 * r + 1) - 1) // 2
-    return k if k * (k + 1) // 2 >= r else k + 1
 
 
 def _support(mm, tol):
@@ -531,8 +525,6 @@ def psd_rank_interval(m, opts: BoundOptions | None = None) -> RankInterval:
         return RankInterval(int(r), int(r), tuple(certs))
 
     if r == 3 and lo < 3:
-        from . import geometry
-
         try:
             answer, ellipse = geometry.decide_psd_rank_le_2(block)
         except NumericalFailure as exc:

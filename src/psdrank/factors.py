@@ -10,10 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .bounds import rank_to_min_size
+from . import linalg, sdp
 from .errors import DomainError, InputError
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, rank_to_min_size
 
 
 @dataclass(frozen=True)
@@ -289,9 +288,7 @@ def rescale_john(f: PsdFactorization, m=None, tol: float = DEFAULT_TOL) -> PsdFa
         raise DomainError("matrix is numerically zero; eigenvalue bound is unattainable")
     f, restore = compress_to_common_span(f, tol)
 
-    from .sdp import min_volume_shape
-
-    shape = min_volume_shape([np.asarray(a, dtype=float) for a in f.row_factors])
+    shape = sdp.min_volume_shape([np.asarray(a, dtype=float) for a in f.row_factors])
     # P is positive definite and scales like 1 / max entry of the factors,
     # so no eigenvalue cutoff applies to it
     roots = linalg.psd_roots(shape.p, tol=0.0)

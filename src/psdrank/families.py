@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from . import linalg
-from .bounds import rank_to_min_size
+from .linalg import rank_to_min_size
 from .errors import InputError
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import linalg
+from . import cpsd, linalg, quantum, sdp
 from .errors import InputError
 from .factors import PsdFactorization, make_factorization
 from .geometry import Ellipse
@@ -126,15 +126,13 @@ def encode_protocol(pr) -> dict:
 
 
 def decode_protocol(obj):
-    from .quantum import CorrelationProtocol, Povm
-
     if not isinstance(obj, dict) or not {"k", "alice", "bob", "rho"} <= set(obj):
         raise InputError("protocol: expected keys k, alice, bob, rho")
     k = linalg.as_int(obj["k"], "protocol k")
-    alice = Povm([decode_matrix(e, "alice element") for e in _items(obj["alice"], "alice")])
-    bob = Povm([decode_matrix(e, "bob element") for e in _items(obj["bob"], "bob")])
+    alice = quantum.Povm([decode_matrix(e, "alice element") for e in _items(obj["alice"], "alice")])
+    bob = quantum.Povm([decode_matrix(e, "bob element") for e in _items(obj["bob"], "bob")])
     rho = decode_matrix(obj["rho"], "state")
-    return CorrelationProtocol(k, alice, bob, rho)
+    return quantum.CorrelationProtocol(k, alice, bob, rho)
 
 
 def encode_gram(g) -> dict:
@@ -142,26 +140,20 @@ def encode_gram(g) -> dict:
 
 
 def decode_gram(obj):
-    from .cpsd import SymmetricGram
-
     if not isinstance(obj, dict) or "factors" not in obj:
         raise InputError("gram: expected key factors")
-    return SymmetricGram([decode_matrix(a, "gram factor")
-                          for a in _items(obj["factors"], "gram factors")])
+    return cpsd.SymmetricGram([decode_matrix(a, "gram factor")
+                               for a in _items(obj["factors"], "gram factors")])
 
 
 def encode_problem(pb) -> dict:
     return {
         "n": pb.n,
         "blocks": [[encode_matrix(g) for g in blk] for blk in pb.blocks],
-        "eq_a": None if pb.eq_a is None else encode_matrix(pb.eq_a),
-        "eq_d": None if pb.eq_d is None else [float(x) for x in pb.eq_d],
     }
 
 
 def decode_problem(obj):
-    from .sdp import SdpProblem
-
     if not isinstance(obj, dict) or not {"n", "blocks"} <= set(obj):
         raise InputError("problem: expected keys n, blocks")
     n = linalg.as_int(obj["n"], "problem n")
@@ -170,15 +162,11 @@ def decode_problem(obj):
     c = obj.get("c")
     if c is not None and (not isinstance(c, list) or any(_entry_in(x, "c") != 0 for x in c)):
         raise InputError("problem: only feasibility is solved; c must be absent or zero")
-    eq_a = obj.get("eq_a")
-    eq_d = obj.get("eq_d")
-    return SdpProblem(
-        n,
-        blocks,
-        eq_a=None if eq_a is None else decode_matrix(eq_a, "eq_a"),
-        eq_d=None if eq_d is None else np.array([linalg.as_float(x, "eq_d entry")
-                                                 for x in _items(eq_d, "eq_d")]),
-    )
+    # null means no equality: files from older versions carry both as null
+    if obj.get("eq_a") is not None or obj.get("eq_d") is not None:
+        raise InputError("problem: eq_a and eq_d are not supported; "
+                         "parametrize equalities into the variables")
+    return sdp.SdpProblem(n, blocks)
 
 
 def load_json(path):

@@ -200,69 +200,60 @@ def certify(pair: SandwichPair, e: Ellipse, tol: float = 1e-7) -> EllipseCheck:
                         facet_violation, multiplier_violation, passed)
 
 
-def ellipse_program(pair: SandwichPair) -> sdp.SdpProblem:
-    """The containment SDP: find Theta (trace of the quadratic part 1) and
-    multipliers with every vertex inside and every facet S-procedure block psd.
+def _theta(x) -> np.ndarray:
+    """Theta at variables (u, a12, b1, b2, c, ..): trace 1 in its quadratic part."""
+    u, a12, b1, b2, c = x[:5]
+    return np.array([[0.5 + u, a12, b1], [a12, 0.5 - u, b2], [b1, b2, c]])
 
-    Variables: (a11, a22, a12, b1, b2, c, lam_1..lam_f).
+
+def ellipse_program(pair: SandwichPair) -> sdp.SdpProblem:
+    """The containment SDP: find Theta and multipliers with the quadratic
+    part A of Theta psd, every vertex inside and every facet S-procedure
+    block psd.
+
+    Variables: (u, a12, b1, b2, c, lam_1..lam_f), read by _theta, whose
+    A = [[1/2 + u, a12], [a12, 1/2 - u]] has trace 1 for every x: the scale
+    of Theta is fixed by the parametrization, so the program has no
+    equality, and x = 0 is A = I/2.
     """
     verts = pair.inner.vertices
     normals, offsets = pair.outer.normals, pair.outer.offsets
     if pair.inner.dimension != 2:
         raise InputError("ellipse program needs a planar pair")
     f = normals.shape[0]
-    n = 6 + f
+    n = 5 + f
 
-    def theta_coeffs():
-        """(n, 3, 3) stack: d Theta / d variable."""
-        out = np.zeros((n, 3, 3))
-        out[0, 0, 0] = 1.0
-        out[1, 1, 1] = 1.0
-        out[2, 0, 1] = out[2, 1, 0] = 1.0
-        out[3, 0, 2] = out[3, 2, 0] = 1.0
-        out[4, 1, 2] = out[4, 2, 1] = 1.0
-        out[5, 2, 2] = 1.0
-        return out
-
-    tc = theta_coeffs()
+    # (6, 3, 3): Theta's constant term, then d Theta / d (u, a12, b1, b2, c)
+    tc = np.array([_theta(e) for e in np.eye(6, 5, -1)])
+    tc[1:] -= tc[0]
     blocks = []
 
     a_block = np.zeros((n + 1, 2, 2))
-    a_block[1:, :, :] = tc[:, :2, :2]
+    a_block[:6] = tc[:, :2, :2]
     blocks.append(a_block)
 
     # vertex rows: q(x) = <Theta, h h^T> <= 0 with h = (x, 1)
     h = np.hstack([verts, np.ones((len(verts), 1))])
     quads = (h[:, :, None] * h[:, None, :]).reshape(len(verts), 9)
     vert_blocks = np.zeros((len(verts), n + 1, 1, 1))
-    vert_blocks[:, 1:7, 0, 0] = -(quads @ tc[:6].reshape(6, 9).T)
+    vert_blocks[:, :6, 0, 0] = -(quads @ tc.reshape(6, 9).T)
     blocks.extend(vert_blocks)
 
     for j, (g, hval) in enumerate(zip(normals, offsets)):
         form = _facet_form(np.asarray(g, dtype=float), float(hval))
         blk = np.zeros((n + 1, 3, 3))
-        blk[1:7] = tc[:6]
-        blk[7 + j] = -form
+        blk[:6] = tc
+        blk[6 + j] = -form
         blocks.append(blk)
         pos = np.zeros((n + 1, 1, 1))
-        pos[7 + j, 0, 0] = 1.0
+        pos[6 + j, 0, 0] = 1.0
         blocks.append(pos)
 
-    eq_a = np.zeros((1, n))
-    eq_a[0, 0] = eq_a[0, 1] = 1.0
-    return sdp.SdpProblem(n=n, blocks=blocks, eq_a=eq_a, eq_d=np.array([1.0]))
+    return sdp.SdpProblem(n=n, blocks=blocks)
 
 
-def _solution_to_ellipse(x: np.ndarray, f: int) -> Ellipse:
-    theta = np.array(
-        [
-            [x[0], x[2], x[3]],
-            [x[2], x[1], x[4]],
-            [x[3], x[4], x[5]],
-        ]
-    )
-    lams = np.clip(x[6 : 6 + f], 0.0, None)
-    return Ellipse(theta, lams)
+def _solution_to_ellipse(x: np.ndarray) -> Ellipse:
+    return Ellipse(_theta(x), np.clip(x[5:], 0.0, None))
 
 
 # variance floor of the whitening frame, relative to the total vertex
@@ -305,8 +296,10 @@ def decide_psd_rank_le_2(m):
     and the dual both short of a decision. A framed ellipse Theta' with
     multipliers lambda' maps back to Theta = h Theta' h and
     lambda_j = lambda'_j / s_j, divided by the trace of the quadratic part,
-    so the certificate is for the pair polytopes_from_matrix(m) itself;
-    boundary-tight certificates are accepted.
+    so the certificate is for the pair polytopes_from_matrix(m) itself.
+    A yes is returned only once certify passes on that pair; a certificate
+    that fails it, as a solver margin inside FEAS_TOL can after the
+    back-map, raises NumericalFailure like an undecided program.
     """
     mm = linalg.as_matrix(m)
     r = linalg.numerical_rank(mm)
@@ -319,10 +312,16 @@ def decide_psd_rank_le_2(m):
     framed, h, s = _frame(pair)
     sol = sdp.solve(ellipse_program(framed))
     if sol.status == "feasible":
-        e = _solution_to_ellipse(sol.x, s.size)
+        e = _solution_to_ellipse(sol.x)
         theta = h @ e.theta @ h
         tr = float(np.trace(theta[:2, :2]))
-        return True, Ellipse(theta / tr, e.multipliers / s / tr)
+        ellipse = Ellipse(theta / tr, e.multipliers / s / tr)
+        check = certify(pair, ellipse)
+        if not check.passed:
+            raise NumericalFailure(
+                f"ellipse certificate fails its re-check (worst {check.worst:.2e})"
+            )
+        return True, ellipse
     if sol.status == "infeasible":
         return False, None
     raise NumericalFailure(
@@ -358,10 +357,6 @@ def _psd_section_maps(e: Ellipse):
     perm = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
     fwd = t_aff @ perm  # applied after the section map
     return fwd
-
-
-def _section(x1, x2, x3):
-    return np.array([x1 + x3, x1 - x3, 2.0 * x2])
 
 
 def _section_inv(w):

@@ -7,6 +7,7 @@ product on (Hermitian) matrices is trace(A B), and every tolerance scales with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -94,6 +95,12 @@ def numerical_rank(m, tol: float = DEFAULT_TOL) -> int:
     if s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol * max(a.shape) * s[0]))
+
+
+def rank_to_min_size(r: int) -> int:
+    """Smallest k with r <= k(k+1)/2; matrices of rank r need psd factors this big."""
+    k = (isqrt(8 * r + 1) - 1) // 2
+    return k if k * (k + 1) // 2 >= r else k + 1
 
 
 def min_eig(m) -> float:

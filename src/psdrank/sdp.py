@@ -1,17 +1,18 @@
 """Small dense semidefinite feasibility solver over block LMI constraints.
 
 Problems are affine sections of psd cones: each block is a coefficient list
-(F0, F1, .., Fn) meaning F0 + sum_i x_i F_i >= 0, with optional linear
-equalities. solve decides whether the section is nonempty through an
-always-strictly-feasible max-margin reformulation: maximize tau subject to
-every block minus tau I staying psd, in a box |x_i| <= BOX. A plain
-logarithmic-barrier path follower with Newton centering runs it inside
-solve; its iterate is the answer on the feasible side, and on the
-infeasible side the barrier's dual, normalized to trace 1 and re-verified,
-is a separating certificate. solve takes no settings: GAP_TOL, FEAS_TOL and the other
-tolerances below are module constants. Everything is dense and
-deterministic; intended for block sizes up to ~30 and a few hundred
-variables.
+(F0, F1, .., Fn) meaning F0 + sum_i x_i F_i >= 0. There are no equality
+constraints; a caller parametrizes any it needs into its variables, as
+geometry.ellipse_program does for the trace of its ellipse. solve decides
+whether the section is nonempty through an always-strictly-feasible
+max-margin reformulation: maximize tau subject to every block minus tau I
+staying psd, in a box |x_i| <= BOX. A plain logarithmic-barrier path
+follower with Newton centering runs it inside solve; its iterate is the
+answer on the feasible side, and on the infeasible side the barrier's dual,
+normalized to trace 1 and re-verified, is a separating certificate. solve
+takes no settings: GAP_TOL, FEAS_TOL and the other tolerances below are
+module constants. Everything is dense and deterministic; intended for
+block sizes up to ~30 and a few hundred variables.
 
 The barrier kernel groups blocks by size and keeps each group's
 coefficients flattened, one row per variable, so a section is
@@ -67,8 +68,6 @@ SLACK_TOL = 1e-8
 class SdpProblem:
     n: int
     blocks: list
-    eq_a: np.ndarray | None = None
-    eq_d: np.ndarray | None = None
 
     def __post_init__(self):
         self.n = int(self.n)
@@ -78,13 +77,6 @@ class SdpProblem:
         if not clean:
             raise InputError("problem has no constraint blocks")
         self.blocks = clean
-        if (self.eq_a is None) != (self.eq_d is None):
-            raise InputError("equalities need both a matrix and an rhs")
-        if self.eq_a is not None:
-            self.eq_a = np.atleast_2d(np.asarray(self.eq_a, dtype=float))
-            self.eq_d = np.asarray(self.eq_d, dtype=float).reshape(-1)
-            if self.eq_a.shape != (self.eq_d.size, self.n):
-                raise InputError("equality shapes inconsistent")
 
     def block_values(self, x):
         x = np.asarray(x, dtype=float)
@@ -333,10 +325,10 @@ def _line_min(c_dx, mu, w):
     return a
 
 
-def _center(cones, c_lin, x0, eq_a=None):
-    """Newton minimization of c_lin.x + sum of weighted block barriers.
+def _center(cones, c_lin, x0):
+    """Newton minimization of c_lin.x + sum of weighted block barriers from
+    x0, which must lie inside every cone.
 
-    x0 must satisfy the equalities; Newton steps stay in their null space.
     Each iterate is factored once per cone, which gives the potential, the
     gradient and Hessian, and the eigenvalues of the blocks along the Newton
     direction dx. While the Newton decrement lambda exceeds 1/4 the step is
@@ -358,26 +350,15 @@ def _center(cones, c_lin, x0, eq_a=None):
             grad += g
             hess += h
         hess = 0.5 * (hess + hess.T)
-        if eq_a is not None:
-            m = eq_a.shape[0]
-            kkt = np.zeros((n + m, n + m))
-            kkt[:n, :n] = hess
-            kkt[:n, n:] = eq_a.T
-            kkt[n:, :n] = eq_a
-            rhs = np.concatenate([-grad, np.zeros(m)])
-        else:
-            kkt = hess
-            rhs = -grad
         ridge = 0.0
         for _ in range(4):
             try:
-                sol = np.linalg.solve(kkt + ridge * np.eye(kkt.shape[0]) if ridge else kkt, rhs)
+                dx = np.linalg.solve(hess + ridge * np.eye(n) if ridge else hess, -grad)
                 break
             except np.linalg.LinAlgError:
-                ridge = max(ridge * 100, 1e-12 * (1 + np.abs(kkt).max()))
+                ridge = max(ridge * 100, 1e-12 * (1 + np.abs(hess).max()))
         else:
-            raise NumericalFailure("singular KKT system during centering")
-        dx = sol[:n]
+            raise NumericalFailure("singular Newton system during centering")
         decrement = float(dx @ hess @ dx)
         # the predicted decrease is about half the decrement; once it drops
         # below the floating point resolution of the potential no further
@@ -408,45 +389,24 @@ def solve(problem: SdpProblem) -> SdpSolution:
     """Decide whether the block section of problem is nonempty.
 
     The status is "feasible" with the max-margin point x, whose block
-    margins are at least -FEAS_TOL; "infeasible" with a certificate that was
-    re-verified numerically (inconsistent equalities, or a trace-1
-    separating dual of value at most -CERT_TOL); or "numerical-failure"
-    when the margin and the dual settle neither answer.
+    margins are at least -FEAS_TOL; "infeasible" with a trace-1 separating
+    dual of value at most -CERT_TOL, re-verified numerically; or
+    "numerical-failure" when the margin and the dual settle neither answer.
 
-    The max-margin path runs in (x, tau), growing its parameter t by MU per
-    centering stage. A stage ends it as soon as tau reaches DECISIVE or the
-    stage's dual passes _certified; otherwise it stops once its duality gap
-    nu / t reaches GAP_TOL, or at the last finished stage when a centering
-    fails. Deterministic.
+    The max-margin path runs in (x, tau) from x = 0, growing its parameter t
+    by MU per centering stage. A stage ends it as soon as tau reaches
+    DECISIVE or the stage's dual passes _certified; otherwise it stops once
+    its duality gap nu / t reaches GAP_TOL, or at the last finished stage
+    when a centering fails. Deterministic.
     """
     p = problem
     n = p.n
 
-    x_eq = np.zeros(n)
-    if p.eq_a is not None:
-        x_eq, *_ = np.linalg.lstsq(p.eq_a, p.eq_d, rcond=None)
-        resid = p.eq_d - p.eq_a @ x_eq
-        rnorm = float(np.linalg.norm(resid))
-        if rnorm > FEAS_TOL * (1.0 + np.linalg.norm(p.eq_d)):
-            y = resid / max(rnorm, 1e-300)
-            cert = {
-                "kind": "inconsistent-equalities",
-                "y": y,
-                "value": -float(y @ p.eq_d),
-                "residual": float(np.linalg.norm(p.eq_a.T @ y)),
-                "scale": max(1.0, float(np.max(np.abs(p.eq_a)))),
-            }
-            status = "infeasible" if _certified(cert) else "numerical-failure"
-            return SdpSolution(status, None, None, certificate=cert)
-
-    if np.max(np.abs(x_eq), initial=0.0) > 0.9 * BOX:
-        return SdpSolution("numerical-failure", None, None)
-
     blocks = _margin_blocks(p)
     nu = sum(b.shape[-1] for b in blocks)
-    tau0 = min(p.margins(x_eq).min(), 1.0) - 1.0
-    x = np.concatenate([x_eq, [tau0]])
-    eq = None if p.eq_a is None else np.hstack([p.eq_a, np.zeros((p.eq_a.shape[0], 1))])
+    tau0 = min(p.margins(np.zeros(n)).min(), 1.0) - 1.0
+    x = np.zeros(n + 1)
+    x[n] = tau0
     c_obj = np.zeros(n + 1)
     c_obj[n] = -1.0
     cones = _group_blocks(blocks)
@@ -455,7 +415,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
     last = None
     while True:
         try:
-            x, used = _center(cones, t * c_obj, x, eq)
+            x, used = _center(cones, t * c_obj, x)
         except NumericalFailure:
             # keep the last finished stage: the decision bands stay sound
             # at any achieved gap, and deeper t values exceed float64 anyway
@@ -528,24 +488,14 @@ def _margin_certificate(p: SdpProblem, x_full, t):
     zs = [z / total_tr for z in zs]
     # (<Z, F0>, <Z, F1>, .., <Z, Fn>) summed over the blocks
     pairing = sum(blk.reshape(n + 1, -1) @ z.reshape(-1) for z, blk in zip(zs, p.blocks))
-    value = float(pairing[0])
-    res = pairing[1:]
     # trace of each dual is <= 1, so residuals are judged against the
     # coefficient magnitudes rather than absolutely
     gscale = max(float(np.linalg.norm(_flat(blk)[1], axis=1).max(initial=0.0)) for blk in p.blocks)
-    y = None
-    if p.eq_a is not None:
-        y, *_ = np.linalg.lstsq(p.eq_a.T, -res, rcond=None)
-        correction = p.eq_a.T @ y
-        res = res + correction
-        value -= float(y @ p.eq_d)
-        gscale = max(gscale, float(np.max(np.abs(correction), initial=0.0)))
     return {
         "kind": "separating-dual",
         "blocks": zs,
-        "y": y,
-        "value": value,
-        "residual": float(np.max(np.abs(res), initial=0.0)),
+        "value": float(pairing[0]),
+        "residual": float(np.max(np.abs(pairing[1:]), initial=0.0)),
         "scale": max(1.0, gscale),
     }
 
@@ -558,8 +508,6 @@ def _margin_certificate(p: SdpProblem, x_full, t):
 class MveeResult:
     p: np.ndarray
     containment_margins: np.ndarray
-    path_parameter: float
-    logdet_gap: float
     polar_slack: float
     newton_steps: int = 0
 
@@ -617,5 +565,4 @@ def min_volume_shape(shapes) -> MveeResult:
     margins = linalg.eig_extremes(np.eye(d) - roots @ p @ roots)[0]
     if np.min(margins) < -1e-9:
         raise NumericalFailure("containment check failed after optimization")
-    logdet_gap = n_shapes * d / t
-    return MveeResult(p / lam_max, margins, t, logdet_gap, n_shapes / t, steps)
+    return MveeResult(p / lam_max, margins, n_shapes / t, steps)

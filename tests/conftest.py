@@ -282,9 +282,9 @@ class StackedCongruenceCone(sdp._CongruenceCone):
     slopes = sdp._Cone.slopes
 
 
-def newton_direction(cones, c_lin, x, eq_a=None):
+def newton_direction(cones, c_lin, x):
     """(dx, dx' H dx) for c_lin.x plus the cone barriers at x: the Newton
-    step in the null space of eq_a and its squared decrement."""
+    step and its squared decrement."""
     n = x.size
     grad, hess = np.array(c_lin, dtype=float), np.zeros((n, n))
     for cone in cones:
@@ -292,17 +292,11 @@ def newton_direction(cones, c_lin, x, eq_a=None):
         grad += g
         hess += h
     hess = 0.5 * (hess + hess.T)
-    m = 0 if eq_a is None else eq_a.shape[0]
-    kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = hess
-    if m:
-        kkt[:n, n:] = eq_a.T
-        kkt[n:, :n] = eq_a
-    dx = np.linalg.solve(kkt, np.concatenate([-grad, np.zeros(m)]))[:n]
+    dx = np.linalg.solve(hess, -grad)
     return dx, float(dx @ hess @ dx)
 
 
-def damped_center(cones, c_lin, x0, eq_a=None, inner_tol=1e-10, max_newton=120):
+def damped_center(cones, c_lin, x0, inner_tol=1e-10, max_newton=120):
     """Damped Newton centering as sdp._center ran it before its exact line
     search: the step starts at 1/(1 + lambda) while the decrement lambda
     exceeds 1/4 and at 1 after, and halves until the Armijo test holds, the
@@ -319,7 +313,7 @@ def damped_center(cones, c_lin, x0, eq_a=None, inner_tol=1e-10, max_newton=120):
     phi = potential(x)
     assert phi < np.inf
     for step in range(max_newton):
-        dx, decrement = newton_direction(cones, c_lin, x, eq_a)
+        dx, decrement = newton_direction(cones, c_lin, x)
         if decrement <= 2 * inner_tol or decrement <= 64.0 * np.finfo(float).eps * (1.0 + abs(phi)):
             return x, step
         lam = np.sqrt(decrement)

@@ -219,6 +219,17 @@ def test_undecided_ellipse_keeps_the_other_bounds(m, monkeypatch):
     assert found[0]["cols"] == list(range(m.shape[1]))
 
 
+def test_ellipse_that_fails_certify_leaves_the_interval_open():
+    # closed-form margin -3e-7: psd rank 3, but the solver's yes fails certify
+    m = families.nested_rectangles(0.9950043145286394, 0.09983343162183952)
+    iv = bounds.psd_rank_interval(m)
+    assert (iv.lower, iv.upper, iv.exact) == (2, 3, None)
+    found = [c for c in iv.certificates if c["kind"] == "ellipse"]
+    assert len(found) == 1
+    assert found[0]["answer"] is None
+    assert "re-check" in found[0]["reason"]
+
+
 def test_families_with_known_facts_are_bracketed():
     cases = [
         ("derangement", [n]) for n in range(2, 9)

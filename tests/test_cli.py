@@ -339,6 +339,18 @@ class TestSdpSolve:
         formats.dump_json({**doc, "c": [-1.0]}, path)
         assert cli.main(["sdp-solve", str(path)]) == 2
 
+    def test_equalities_are_refused(self, tmp_path, capsys):
+        # 0 <= x <= 2 and x = 1: well formed, but the solver has no equalities
+        p = sdp.SdpProblem(1, [[np.array([[0.0]]), np.array([[1.0]])],
+                               [np.array([[2.0]]), np.array([[-1.0]])]])
+        doc = formats.encode_problem(p)
+        path = tmp_path / "p.json"
+        for extra in ({"eq_a": formats.encode_matrix([[1.0]]), "eq_d": [1.0]},
+                      {"eq_d": [1.0]}, {"eq_a": formats.encode_matrix([[1.0]])}):
+            formats.dump_json({**doc, **extra}, path)
+            assert cli.main(["sdp-solve", str(path)]) == 2
+            assert "eq_a and eq_d" in capsys.readouterr().err
+
 
 class TestTopLevel:
     def test_no_command_is_usage(self, capsys):

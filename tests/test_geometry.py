@@ -174,6 +174,35 @@ class TestCertify:
         assert e.evaluate([2.0, 0.0]) > 0.0
 
 
+# closed-form margin -3e-7, so psd rank 3; the program's margin lies inside
+# FEAS_TOL and its ellipse, mapped back, fails certify at 1e-7
+FAILS_RECHECK = families.nested_rectangles(0.9950043145286394, 0.09983343162183952)
+
+
+class TestEllipseProgram:
+    def test_trace_is_fixed_by_the_variables(self):
+        pair = geometry.polytopes_from_matrix(families.circulant3(1.0, 1.3, 0.4))
+        f = pair.outer.offsets.size
+        program = geometry.ellipse_program(pair)
+        assert program.n == 5 + f
+        assert set(vars(program)) == {"n", "blocks"}
+        rng = np.random.default_rng(3)
+        for x in rng.standard_normal((5, program.n)):
+            values = program.block_values(x)
+            assert abs(np.trace(values[0]) - 1.0) <= 1e-12
+            e = geometry._solution_to_ellipse(x)
+            assert np.allclose(values[0], e.a_form, atol=1e-12)
+            # the vertex rows read -q(v) of the same Theta
+            verts = [v[0, 0] for v in values[1:1 + len(pair.inner.vertices)]]
+            assert np.allclose(verts, [-e.evaluate(v) for v in pair.inner.vertices],
+                               atol=1e-12)
+
+    def test_origin_is_the_half_identity(self):
+        pair = geometry.polytopes_from_matrix(families.circulant3(1.0, 1.3, 0.4))
+        e = geometry._solution_to_ellipse(np.zeros(geometry.ellipse_program(pair).n))
+        assert np.array_equal(e.theta, np.diag([0.5, 0.5, 0.0]))
+
+
 class TestDecide:
     def test_rank_two_immediate_yes(self):
         m = np.outer([1.0, 2.0, 1.0], [1.0, 1.0, 2.0]) + np.outer([2.0, 1.0, 0.0], [0.0, 1.0, 1.0])
@@ -228,6 +257,10 @@ class TestDecide:
             pair = geometry.polytopes_from_matrix(m)
             assert geometry.certify(pair, e).passed
             assert factors.verify(m, geometry.factorization_from_ellipse(m, pair, e)).passed
+
+    def test_yes_that_fails_certify_is_undecided(self):
+        with pytest.raises(NumericalFailure, match="re-check"):
+            geometry.decide_psd_rank_le_2(FAILS_RECHECK)
 
     def test_constant_column_keeps_its_facet_unscaled(self):
         # a constant column is a facet with a numerically zero normal; scaled

@@ -1,7 +1,8 @@
-"""Package guards: numpy is the only third-party import, every name in
-psdrank.__all__ resolves, every public psdrank.linalg function has a caller
-in the package, and the README documents exactly the environment variables
-the CLI reads."""
+"""Package guards: numpy is the only third-party import, no function body
+imports, every name in psdrank.__all__ resolves, every public
+psdrank.linalg function has a caller in the package, every module-level
+private function is used in its module, and the README documents exactly
+the environment variables the CLI reads."""
 import ast
 import inspect
 import re
@@ -68,3 +69,28 @@ def test_readme_lists_the_environment_variables_the_cli_reads():
     read = set(ENV_VAR.findall((SRC / "cli.py").read_text()))
     assert read
     assert documented == read
+
+
+def _module_trees():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    return [(path.name, ast.parse(path.read_text(), str(path))) for path in files]
+
+
+def test_no_import_inside_a_function():
+    inner = [f"{name}:{node.lineno}"
+             for name, tree in _module_trees()
+             for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert inner == []
+
+
+def test_every_private_module_function_is_used_in_its_module():
+    unused = []
+    for name, tree in _module_trees():
+        private = {node.name for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                   and not node.name.startswith("__")}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{name} {fn}" for fn in sorted(private - used)]
+    assert unused == []

@@ -47,10 +47,6 @@ class TestProblemValidation:
         with pytest.raises(DomainError):
             SdpProblem(1, [[np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])]])
 
-    def test_equality_needs_both_parts(self):
-        with pytest.raises(InputError):
-            SdpProblem(1, [[np.zeros((1, 1)), np.eye(1)]], eq_a=[[1.0]])
-
     def test_no_blocks(self):
         with pytest.raises(InputError):
             SdpProblem(1, [])
@@ -61,18 +57,6 @@ class TestProblemValidation:
 
 
 class TestFeasibility:
-    def test_interval_with_equality_pins_point(self):
-        # 0 <= x <= 2 and x = 1
-        blocks = [
-            [np.array([[0.0]]), np.array([[1.0]])],
-            [np.array([[2.0]]), np.array([[-1.0]])],
-        ]
-        p = SdpProblem(1, blocks, eq_a=[[1.0]], eq_d=[1.0])
-        sol = sdp.solve(p)
-        assert sol.status == "feasible"
-        assert abs(sol.x[0] - 1.0) <= 1e-6
-        assert sol.margin >= -1e-7
-
     def test_margin_point_on_request(self):
         blocks = [
             [np.array([[1.0]]), np.array([[1.0]])],
@@ -94,13 +78,6 @@ class TestFeasibility:
         assert cert["kind"] == "separating-dual"
         assert cert["value"] <= -1e-6
         assert cert["residual"] <= 1e-7 * cert["scale"]
-
-    def test_inconsistent_equalities(self):
-        p = SdpProblem(1, [[np.zeros((1, 1)), np.eye(1)]],
-                       eq_a=[[1.0], [1.0]], eq_d=[0.0, 1.0])
-        sol = sdp.solve(p)
-        assert sol.status == "infeasible"
-        assert sol.certificate["kind"] == "inconsistent-equalities"
 
     def test_random_feasible_batch(self):
         rng = np.random.default_rng(7)
@@ -346,7 +323,7 @@ class TestCentering:
             roots = np.concatenate([np.eye(d)[None], TestCongruenceCone.roots(rng, d, nb)])
             cone = sdp._CongruenceCone(np.r_[0.0, np.ones(nb)], roots, np.r_[1.0, -np.ones(nb)],
                                        np.r_[50.0, np.ones(nb)])
-            return [cone], np.zeros(d * (d + 1) // 2), linalg.vecm(0.5 * np.eye(d)), None
+            return [cone], np.zeros(d * (d + 1) // 2), linalg.vecm(0.5 * np.eye(d))
         # mixed 1x1, 2x2 and 3x3 blocks in a box, far from the center of a
         # steep linear term
         rng = np.random.default_rng(29)
@@ -354,44 +331,41 @@ class TestCentering:
         problem, x0 = feasible_problem(rng, n, TestBarrierKernel.SIZES)
         blocks = problem.blocks + sdp._box_blocks(n, n, 10.0)
         cones = sdp._group_blocks(blocks, rng.uniform(0.5, 3.0, len(blocks)))
-        eq_a = rng.standard_normal((1, n)) if kind == "blocks-eq" else None
-        return cones, 20.0 * rng.standard_normal(n), x0, eq_a
+        return cones, 20.0 * rng.standard_normal(n), x0
 
-    @pytest.mark.parametrize("kind", ["blocks", "blocks-eq", "congruence"])
+    @pytest.mark.parametrize("kind", ["blocks", "congruence"])
     def test_matches_damped_reference_in_fewer_steps(self, kind):
-        cones, c_lin, x0, eq_a = self.case(kind)
-        x, steps = sdp._center(cones, c_lin, x0, eq_a)
-        _, ref_steps = damped_center(cones, c_lin, x0, eq_a)
+        cones, c_lin, x0 = self.case(kind)
+        x, steps = sdp._center(cones, c_lin, x0)
+        _, ref_steps = damped_center(cones, c_lin, x0)
         # the reference run to float resolution, then its last Newton step
-        x_ref, _ = damped_center(cones, c_lin, x0, eq_a, inner_tol=0.0)
-        x_ref = x_ref + newton_direction(cones, c_lin, x_ref, eq_a)[0]
+        x_ref, _ = damped_center(cones, c_lin, x0, inner_tol=0.0)
+        x_ref = x_ref + newton_direction(cones, c_lin, x_ref)[0]
         assert np.max(np.abs(x - x_ref)) <= 1e-9 * np.max(np.abs(x_ref))
         assert steps < ref_steps
-        if eq_a is not None:
-            assert np.max(np.abs(eq_a @ (x - x0))) <= 1e-12 * (1.0 + np.max(np.abs(x0)))
 
-    @pytest.mark.parametrize("kind", ["blocks", "blocks-eq", "congruence"])
+    @pytest.mark.parametrize("kind", ["blocks", "congruence"])
     def test_returned_point_is_centered(self, kind):
-        cones, c_lin, x0, eq_a = self.case(kind)
-        x, _ = sdp._center(cones, c_lin, x0, eq_a)
-        assert newton_direction(cones, c_lin, x, eq_a)[1] <= 1e-10
+        cones, c_lin, x0 = self.case(kind)
+        x, _ = sdp._center(cones, c_lin, x0)
+        assert newton_direction(cones, c_lin, x)[1] <= 1e-10
 
-    @pytest.mark.parametrize("kind", ["blocks", "blocks-eq", "congruence"])
+    @pytest.mark.parametrize("kind", ["blocks", "congruence"])
     def test_quadratic_phase_takes_full_steps(self, kind, monkeypatch):
-        cones, c_lin, x0, eq_a = self.case(kind)
-        center, _ = sdp._center(cones, c_lin, x0, eq_a)
+        cones, c_lin, x0 = self.case(kind)
+        center, _ = sdp._center(cones, c_lin, x0)
         # back off from the start toward the center until the decrement is
         # below 1/16, where every later decrement stays
         start = x0
-        while newton_direction(cones, c_lin, start, eq_a)[1] > 0.05:
+        while newton_direction(cones, c_lin, start)[1] > 0.05:
             start = 0.5 * (start + center)
-        assert newton_direction(cones, c_lin, start, eq_a)[1] > 1e-4
+        assert newton_direction(cones, c_lin, start)[1] > 1e-4
 
         def no_line_search(*args):
             raise AssertionError("line search in the quadratic phase")
 
         monkeypatch.setattr(sdp, "_line_min", no_line_search)
-        x, steps = sdp._center(cones, c_lin, start, eq_a)
+        x, steps = sdp._center(cones, c_lin, start)
         assert steps >= 2
         assert np.max(np.abs(x - center)) <= 1e-9 * np.max(np.abs(center))
 
