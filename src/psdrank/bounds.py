@@ -3,8 +3,10 @@
 Lower bounds come from the usual-rank inequality rank <= k(k+1)/2 and from
 zero-pattern block splits; upper bounds from min(p, q), the distinct-entry
 count, Hadamard square roots, and explicit family factorizations. The
-square-root rank is found by exhausting sign patterns after fixing a
-spanning forest of the nonzero bipartite graph to plus.
+square-root rank is found by a sign search over row prefixes: the signs on
+a spanning forest of the nonzero bipartite graph are fixed to plus, and a
+prefix is dropped as soon as its singular values rule out every completion
+(see sqrt_rank_exact).
 
 Every bound first drops zero rows and columns and keeps one row (column) of
 each set of positive multiples; neither step changes the psd rank.
@@ -394,13 +396,29 @@ def _derangement_like(mm, tol):
 
 
 def sqrt_rank_exact(m, budget: int = SQRT_BUDGET, tol: float = DEFAULT_TOL) -> SqrtRankResult:
-    """Minimum rank over all Hadamard square roots, by exhaustive signs.
+    """Minimum rank over all Hadamard square roots, by a sign search over
+    row prefixes that prunes on rank.
 
     Scaling rows and columns by -1 preserves rank, so the signs along a
-    spanning forest of the nonzero bipartite graph are fixed to plus and only
-    the remaining nonzero entries enumerate over {+, -}. The witness rank is
-    recomputed in exact integer arithmetic when every entry is a perfect
-    square.
+    spanning forest of the nonzero bipartite graph are fixed to plus; only
+    the remaining nonzero entries, the free bits, take either sign. For each
+    target r from rank_to_min_size(rank m) up to min(p, q) - 1, _first_root
+    extends row prefixes one row at a time by every sign choice of that
+    row's free bits and drops a prefix once more than r of its singular
+    values exceed tol * max(p, q) * ||base||_F. The cutoff is sound: every
+    signed root W has sigma_max(W) <= ||W||_F = ||base||_F, and adding rows
+    never lowers a singular value (interlacing), so no completion of a
+    dropped prefix passes the test a full matrix must pass: at most r
+    singular values above tol * max(p, q) * sigma_max(W). So the first
+    target whose search finds a full matrix that passes is the value, and
+    that matrix the witness; when no target passes, the value is min(p, q)
+    with the all-plus root.
+
+    patterns_searched counts the prefixes evaluated. It is far below
+    2**(free bits) when the rank prunes early, and can exceed it when
+    nothing prunes (derangement(6): 19 free bits, 559 104 prefixes). The
+    witness rank is recomputed in exact integer arithmetic when every entry
+    is a perfect square.
     """
     mm = linalg.as_nonnegative(m, tol)
     p, q = mm.shape
@@ -410,54 +428,79 @@ def sqrt_rank_exact(m, budget: int = SQRT_BUDGET, tol: float = DEFAULT_TOL) -> S
     if nz.size == 0:
         return SqrtRankResult(0, np.zeros_like(mm), 1)
 
-    free_edges = _non_forest_edges(support, nz)
-    nfree = len(free_edges)
-    if nfree > budget:
-        raise ResourceError(f"sign search needs {nfree} free bits; budget is {budget}")
+    free = np.array(_non_forest_edges(support, nz), dtype=int).reshape(-1, 2)
+    if len(free) > budget:
+        raise ResourceError(f"sign search needs {len(free)} free bits; budget is {budget}")
 
-    target_rank = linalg.numerical_rank(mm, tol)
-    floor_val = rank_to_min_size(target_rank)
-
-    rows_idx = np.array([e[0] for e in free_edges], dtype=int)
-    cols_idx = np.array([e[1] for e in free_edges], dtype=int)
-    best_rank = None
-    best_pattern = 0
-    searched = 0
-    chunk = 4096
-    total = 1 << nfree
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        codes = np.arange(lo, hi, dtype=np.int64)
-        if nfree:
-            bits = (codes[:, None] >> np.arange(nfree)[None, :]) & 1
-            signs = 1.0 - 2.0 * bits
-        else:
-            signs = np.ones((hi - lo, 0))
-        stack = np.broadcast_to(base, (hi - lo, p, q)).copy()
-        if nfree:
-            stack[:, rows_idx, cols_idx] = base[rows_idx, cols_idx][None, :] * signs
-        sv = np.linalg.svd(stack, compute_uv=False)
-        cutoff = tol * max(p, q) * sv[:, 0]
-        ranks = (sv > cutoff[:, None]).sum(axis=1)
-        searched += hi - lo
-        i = int(np.argmin(ranks))
-        if best_rank is None or ranks[i] < best_rank:
-            best_rank = int(ranks[i])
-            best_pattern = int(codes[i])
-        if best_rank <= floor_val:
+    value, flips, searched = min(p, q), np.zeros((1, len(free)), dtype=bool), 0
+    for r in range(rank_to_min_size(linalg.numerical_rank(mm, tol)), min(p, q)):
+        found, evaluated = _first_root(base, free, r, tol)
+        searched += evaluated
+        if found is not None:
+            value, flips = found
             break
-
-    witness = base.copy()
-    if nfree:
-        bits = (best_pattern >> np.arange(nfree)) & 1
-        witness[rows_idx, cols_idx] = base[rows_idx, cols_idx] * (1.0 - 2.0 * bits)
+    witness = _signed(base, free, flips)[0]
 
     exact = _exact_rank_if_integral(witness, tol)
-    if exact is not None and exact != best_rank:
+    if exact is not None and exact != value:
         raise NumericalFailure(
-            f"witness rank disagrees between floating point ({best_rank}) and exact ({exact})"
+            f"witness rank disagrees between floating point ({value}) and exact ({exact})"
         )
-    return SqrtRankResult(best_rank, witness, searched)
+    return SqrtRankResult(value, witness, searched)
+
+
+# prefixes the sign search evaluates with one batched SVD
+_SIGN_CHUNK = 4096
+
+
+def _first_root(base, free, r, tol):
+    """((rank, flips), prefixes evaluated) for the first signed root of rank
+    at most r, or (None, prefixes evaluated) when there is none.
+
+    Depth first over chunks of at most _SIGN_CHUNK prefixes: a stack item
+    (rows, parents, start, stop) stands for the prefixes t in [start, stop)
+    of that many rows, prefix t extending parent t >> b by b free bits read
+    from t's low bits. The first level sets rows 0..r at once, since a
+    prefix of at most r rows has at most r singular values.
+    """
+    p, q = base.shape
+    # free lists its entries row by row, so prefixes of k rows flag the
+    # first ends[k - 1] of them
+    ends = np.cumsum(np.bincount(free[:, 0], minlength=p))
+    cut = tol * max(p, q) * np.linalg.norm(base)
+    evaluated = 0
+    stack = [(r + 1, np.zeros((1, 0), dtype=bool), 0, 1 << int(ends[r]))]
+    while stack:
+        rows, parents, start, stop = stack.pop()
+        end = min(stop, start + _SIGN_CHUNK)
+        if end < stop:
+            stack.append((rows, parents, end, stop))
+        b = int(ends[rows - 1]) - parents.shape[1]
+        t = np.arange(start, end)
+        flips = np.hstack([parents[t >> b], ((t[:, None] >> np.arange(b)) & 1).astype(bool)])
+        evaluated += len(flips)
+        sv = np.linalg.svd(_signed(base[:rows], free, flips), compute_uv=False)
+        if rows < p:
+            kept = flips[np.count_nonzero(sv > cut, axis=1) <= r]
+            if len(kept):
+                stack.append((rows + 1, kept, 0, len(kept) << int(ends[rows] - ends[rows - 1])))
+            continue
+        ranks = np.count_nonzero(sv > tol * max(p, q) * sv[:, :1], axis=1)
+        i = int(np.argmin(ranks))
+        if ranks[i] <= r:
+            return (int(ranks[i]), flips[i:i + 1]), evaluated
+    return None, evaluated
+
+
+def _signed(rows, free, flips):
+    """One copy of rows per row of flips, negated at the free entries it flags.
+
+    flips covers the first flips.shape[1] free entries, which all lie in rows.
+    """
+    out = np.broadcast_to(rows, (len(flips),) + rows.shape).copy()
+    i, j = free[:flips.shape[1]].T
+    out[:, i, j] = rows[i, j] * np.where(flips, -1.0, 1.0)
+    return out
 
 
 def _non_forest_edges(support, nz):

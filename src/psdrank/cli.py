@@ -321,7 +321,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("factorization")
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("sqrt-rank", help="exact square-root rank")
+    p = sub.add_parser(
+        "sqrt-rank", help="exact square-root rank",
+        description="Exact square-root rank: the smallest rank of a Hadamard square root, "
+                    "by a sign search over row prefixes that drops a prefix once more "
+                    "singular values than the target rank exceed the cutoff "
+                    "tol * max(p, q) * ||sqrt(m)||_F, which no completion can undo. "
+                    "patterns_searched counts the prefixes evaluated; it can exceed "
+                    "2**(free sign bits) when nothing prunes, as for derangement(6).")
     p.add_argument("matrix")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=_cmd_sqrt_rank)

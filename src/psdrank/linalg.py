@@ -68,8 +68,7 @@ def scale_of(m) -> float:
 
 def scales_of(stack) -> np.ndarray:
     """scale_of for every matrix of a (B, p, q) stack."""
-    a = np.abs(np.asarray(stack))
-    return 1.0 + a.reshape(len(a), -1).max(axis=1, initial=0.0)
+    return 1.0 + np.abs(np.asarray(stack)).max(axis=(1, 2), initial=0.0)
 
 
 def sym(m: np.ndarray) -> np.ndarray:
@@ -124,7 +123,7 @@ def sym_stack(stack, name: str = "matrix") -> np.ndarray:
     if a.shape[1] != a.shape[2]:
         raise DomainError(f"{name} must be square, got shape {a.shape[1:]}")
     trans = a.conj().transpose(0, 2, 1)
-    asym = np.abs(a - trans).reshape(len(a), -1).max(axis=1, initial=0.0)
+    asym = np.abs(a - trans).max(axis=(1, 2), initial=0.0)
     bad = np.nonzero(asym > 10 * DEFAULT_TOL * scales_of(a))[0]
     if bad.size:
         raise DomainError(f"{name} {bad[0]} is not symmetric/Hermitian within tolerance")

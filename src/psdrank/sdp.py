@@ -83,7 +83,13 @@ class SdpProblem:
         return [_section(*_flat(blk), x) for blk in self.blocks]
 
     def margins(self, x):
-        return np.array([linalg.min_eig(v) for v in self.block_values(x)])
+        """Smallest eigenvalue of every block at x, one batched call per block size."""
+        values = self.block_values(x)
+        out = np.empty(len(values))
+        for s in {v.shape[0] for v in values}:
+            at = [i for i, v in enumerate(values) if v.shape[0] == s]
+            out[at] = linalg.eig_extremes(np.stack([values[i] for i in at]))[0]
+        return out
 
 
 def _check_block(blk, n):

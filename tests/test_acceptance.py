@@ -88,7 +88,7 @@ def test_04_derangement_intervals_collapse():
 
 
 def test_05_square_root_rank_anchors():
-    with Budget(30.0):
+    with Budget(3.0):
         cases = [
             (np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 4.0], [1.0, 1.0, 1.0]]), 2),
             (families.partition_matrix((5, 12, 13)), 4),

@@ -22,6 +22,13 @@ def brute_force_sqrt_rank(m, tol=1e-9):
     return best
 
 
+def _assert_matches_full_enumeration(m):
+    res = bounds.sqrt_rank_exact(m)
+    assert res.value == brute_force_sqrt_rank(m)
+    assert np.max(np.abs(res.witness ** 2 - m)) <= 1e-12
+    assert linalg.numerical_rank(res.witness) == res.value
+
+
 def test_rank_to_min_size():
     assert [bounds.rank_to_min_size(r) for r in range(0, 11)] == \
         [0, 1, 2, 2, 3, 3, 3, 4, 4, 4, 4]
@@ -125,16 +132,63 @@ class TestSqrtRank:
 
     def test_scaling_reduction_matches_full_enumeration(self):
         rng = np.random.default_rng(23)
-        cases = 0
-        while cases < 5:
-            m = np.round(rng.random((4, 4)) * 3.0, 1)
-            m *= rng.random((4, 4)) < 0.7
-            nonzeros = int(np.count_nonzero(m))
-            if nonzeros == 0 or nonzeros > 12:
-                continue
-            cases += 1
+        for shape, count in [((4, 4), 5), ((4, 5), 4), ((5, 4), 4), ((3, 6), 4)]:
+            cases = 0
+            while cases < count:
+                m = np.round(rng.random(shape) * 3.0, 1)
+                m *= rng.random(shape) < 0.7
+                nonzeros = int(np.count_nonzero(m))
+                if nonzeros == 0 or nonzeros > 12:
+                    continue
+                cases += 1
+                _assert_matches_full_enumeration(m)
+        # zero rows and columns inside the matrix
+        base = families.circulant3(1.0, 4.0, 1.0)
+        _assert_matches_full_enumeration(np.insert(base, 1, 0.0, axis=0))
+        _assert_matches_full_enumeration(np.insert(base, [0, 3], 0.0, axis=1))
+        _assert_matches_full_enumeration(np.insert(np.insert(UNDECIDED, 2, 0.0, axis=0),
+                                                   1, 0.0, axis=1))
+        _assert_matches_full_enumeration(np.insert(families.square_slack(), 4, 0.0, axis=0))
+        # a rank-2 root up to noise of 1e-9, which the rank tolerance of the
+        # full matrix ignores; a prefix cutoff below tol * max(p, q) * ||W||_F
+        # would count the noise and drop the root's prefixes
+        w = np.outer([1, 3, -2, 1], [1, 2, -1]) + np.outer([-1, 1, 1, 2], [2, -1, 1])
+        noisy = w + 1e-9 * np.random.default_rng(2).standard_normal(w.shape)
+        _assert_matches_full_enumeration(noisy ** 2)
+
+    def test_search_prunes_instead_of_enumerating(self):
+        # 13 free bits for the hexagon and 19 for euclidean(6)
+        assert bounds.sqrt_rank_exact(families.hexagon_slack()).patterns_searched < 2 ** 13
+        assert bounds.sqrt_rank_exact(families.euclidean_distance(6)).patterns_searched < 2 ** 10
+
+    def test_full_square_root_rank_found(self):
+        # no signed root drops the rank, so every target below 4 is exhausted
+        for m in (families.derangement(5), families.prime_corner((2, 3, 4, 6))):
             res = bounds.sqrt_rank_exact(m)
-            assert res.value == brute_force_sqrt_rank(m)
+            assert res.value == 4
+            assert np.max(np.abs(res.witness ** 2 - m)) <= 1e-12
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_chunk_size_keeps_the_witness(self, monkeypatch, chunk):
+        rng = np.random.default_rng(5)
+        cases = [families.hexagon_slack(), families.euclidean_distance(5),
+                 rng.uniform(1, 2, (3, 6)), np.round(rng.random((5, 4)) * 3.0, 1)]
+        expected = [bounds.sqrt_rank_exact(m) for m in cases]
+        sizes = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, **kwargs):
+            if a.ndim == 3:
+                sizes.append(len(a))
+            return svd(a, **kwargs)
+
+        monkeypatch.setattr(bounds, "_SIGN_CHUNK", chunk)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        for m, want in zip(cases, expected):
+            res = bounds.sqrt_rank_exact(m)
+            assert res.value == want.value
+            assert np.array_equal(res.witness, want.witness)
+        assert sizes and max(sizes) <= chunk
 
     def test_zero_matrix(self):
         res = bounds.sqrt_rank_exact(np.zeros((2, 3)))

@@ -55,6 +55,8 @@ class TestEigExtremes:
     def test_empty_and_nonfinite(self):
         lo, hi = linalg.eig_extremes(np.zeros((3, 0, 0)))
         assert lo.tolist() == hi.tolist() == [0.0, 0.0, 0.0]
+        lo, hi = linalg.eig_extremes(np.zeros((0, 2, 2)))
+        assert lo.shape == hi.shape == (0,)
         with pytest.raises(InputError):
             linalg.eig_extremes(np.stack([np.eye(2), np.full((2, 2), np.nan)]))
         with pytest.raises(InputError):
