@@ -174,11 +174,7 @@ class EllipseCheck:
 
 
 def certify(pair: SandwichPair, e: Ellipse, tol: float = 1e-7) -> EllipseCheck:
-    """Re-check the three certificate constraint families at tolerance tol.
-
-    The facet blocks Theta - lambda_j F_j are checked by one batched
-    eigenvalue call.
-    """
+    """Re-check the three certificate constraint families at tolerance tol."""
     a = e.a_form
     trace_error = abs(float(np.trace(a)) - 1.0)
     psd_violation = max(0.0, -linalg.min_eig(a))
