@@ -8,8 +8,9 @@ a spanning forest of the nonzero bipartite graph are fixed to plus, and a
 prefix is dropped as soon as its singular values rule out every completion
 (see sqrt_rank_exact).
 
-Every bound first drops zero rows and columns and keeps one row (column) of
-each set of positive multiples; neither step changes the psd rank.
+psd_rank_lower and psd_rank_interval first drop zero rows and columns and
+keep one row (column) of each set of positive multiples; neither step
+changes the psd rank. psd_rank_upper and sqrt_rank_exact bound m as given.
 """
 from __future__ import annotations
 
@@ -541,14 +542,15 @@ def psd_rank_interval(m, opts: BoundOptions | None = None) -> RankInterval:
     """Best certified bracket on the psd rank, exact through rank 3 regions.
 
     Works on the canonical block of m (no zero lines, no two lines positive
-    multiples of each other). After the lower bound and the cheap upper
-    bounds, rank <= 2 settles the psd rank as the rank. At rank 3, unless
-    the lower bound is already 3, the ellipse containment program settles
-    whether it is 2; an undecided program is recorded with answer None and
-    its reason and leaves the interval to the other bounds. The upper and
-    ellipse certificates record the rows and columns of m they were built
-    from. The square-root rank sign search runs only when the interval is
-    still open and the lower bound sits below the best cheap upper bound.
+    multiples of each other), which it also passes to the upper bounds.
+    After the lower bound and the cheap upper bounds, rank <= 2 settles the
+    psd rank as the rank. At rank 3, while the interval is still open below
+    3, the ellipse containment program settles whether it is 2; an undecided
+    program is recorded with answer None and its reason and leaves the
+    interval to the other bounds. The upper and ellipse certificates record
+    the rows and columns of m they were built from. The square-root rank
+    sign search runs only when the interval is still open and the lower
+    bound sits below the best cheap upper bound.
     """
     opts = opts or BoundOptions()
     mm = linalg.as_nonnegative(m, opts.tol)
@@ -567,7 +569,7 @@ def psd_rank_interval(m, opts: BoundOptions | None = None) -> RankInterval:
         certs.append({"kind": "rank-bound", "argument": "rank <= 2 is exact", "value": int(r)})
         return RankInterval(int(r), int(r), tuple(certs))
 
-    if r == 3 and lo < 3:
+    if r == 3 and lo < min(up, 3):
         try:
             answer, ellipse = geometry.decide_psd_rank_le_2(block)
         except NumericalFailure as exc:

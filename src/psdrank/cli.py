@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bounds, cpsd, factors, families, formats, geometry, linalg, quantum, sdp
+from . import bounds, cpsd, factors, families, formats, geometry, linalg, quantum
 from .errors import InputError, NumericalFailure, PsdRankError
 
 EXIT_PASS = 0
@@ -262,22 +262,6 @@ def _cmd_region(args, cfg) -> int:
     return EXIT_PASS
 
 
-def _cmd_sdp_solve(args, cfg) -> int:
-    pb = formats.decode_problem(formats.load_json(args.problem))
-    sol = sdp.solve(pb)
-    _emit({
-        "status": sol.status,
-        "x": None if sol.x is None else [float(v) for v in sol.x],
-        "margin": sol.margin,
-        "gap": sol.gap,
-    })
-    if sol.status == "feasible":
-        return EXIT_PASS
-    if sol.status == "infeasible":
-        return EXIT_FAIL
-    return EXIT_NUMERICAL
-
-
 # ---------------------------------------------------------------------------
 # wiring
 
@@ -374,10 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=41)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=_cmd_region)
-
-    p = sub.add_parser("sdp-solve", help="decide feasibility of a block sdp from a problem file")
-    p.add_argument("problem")
-    p.set_defaults(fn=_cmd_sdp_solve)
 
     return parser
 

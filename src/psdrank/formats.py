@@ -1,4 +1,4 @@
-"""JSON encodings for matrices, factorizations, and solver objects.
+"""JSON encodings for matrices, factorizations, ellipses, protocols and Gram factors.
 
 Matrices are stored row major as {"rows": p, "cols": q, "data": [[...]]};
 complex entries are two-element [re, im] lists. NaN and infinity are rejected
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cpsd, linalg, quantum, sdp
+from . import cpsd, linalg, quantum
 from .errors import InputError
 from .factors import PsdFactorization, make_factorization
 from .geometry import Ellipse
@@ -144,29 +144,6 @@ def decode_gram(obj):
         raise InputError("gram: expected key factors")
     return cpsd.SymmetricGram([decode_matrix(a, "gram factor")
                                for a in _items(obj["factors"], "gram factors")])
-
-
-def encode_problem(pb) -> dict:
-    return {
-        "n": pb.n,
-        "blocks": [[encode_matrix(g) for g in blk] for blk in pb.blocks],
-    }
-
-
-def decode_problem(obj):
-    if not isinstance(obj, dict) or not {"n", "blocks"} <= set(obj):
-        raise InputError("problem: expected keys n, blocks")
-    n = linalg.as_int(obj["n"], "problem n")
-    blocks = [[decode_matrix(g, "block term") for g in _items(blk, "block")]
-              for blk in _items(obj["blocks"], "problem blocks")]
-    c = obj.get("c")
-    if c is not None and (not isinstance(c, list) or any(_entry_in(x, "c") != 0 for x in c)):
-        raise InputError("problem: only feasibility is solved; c must be absent or zero")
-    # null means no equality: files from older versions carry both as null
-    if obj.get("eq_a") is not None or obj.get("eq_d") is not None:
-        raise InputError("problem: eq_a and eq_d are not supported; "
-                         "parametrize equalities into the variables")
-    return sdp.SdpProblem(n, blocks)
 
 
 def load_json(path):

@@ -79,7 +79,8 @@ class TestUpper:
         assert value <= 2
 
     def test_barvinok_counts_distinct_entries(self):
-        # 6x6 zero-one matrix of rank 3: C(1 + 3, 1) = 4 beats min(p, q) = 6
+        # 6x6 zero-one matrix of rank 3: C(1 + 3, 1) = 4 beats min(p, q) = 6;
+        # psd_rank_upper bounds m as given, whose canonical block is eye(3)
         m = np.kron(np.eye(3), np.ones((2, 2)))
         opts = BoundOptions(use_sqrt=False)
         value, cert = bounds.psd_rank_upper(m, opts)
@@ -450,6 +451,28 @@ def test_interval_skips_sign_search_once_settled(monkeypatch):
               families.circulant3(1.0, 0.1, 0.1)):
         iv = bounds.psd_rank_interval(m)
         assert iv.exact is not None
+
+
+def test_interval_skips_ellipse_once_settled(monkeypatch):
+    # rank 3, lower bound 2 and the derangement factorization of size 2
+    def no_ellipse(m):
+        raise AssertionError("ellipse test ran")
+    monkeypatch.setattr(geometry, "decide_psd_rank_le_2", no_ellipse)
+    for m in (families.derangement(3), 2.5 * families.derangement(3)):
+        iv = bounds.psd_rank_interval(m)
+        assert (iv.lower, iv.upper) == (2, 2)
+        assert iv.certificates[1]["kind"] == "factorization-file"
+
+
+def test_barvinok_bound_narrows_the_4_cube():
+    # slack matrix of the 4-cube: vertices {0, 1}^4, facets x_i >= 0 and
+    # x_i <= 1. Rank 5 with 41 free sign bits, past the sign search budget,
+    # so only the distinct-entry bound C(1 + 5, 1) = 6 improves min(p, q) = 8
+    v = np.array(list(product((0.0, 1.0), repeat=4)))
+    iv = bounds.psd_rank_interval(np.hstack([v, 1.0 - v]))
+    assert (iv.lower, iv.upper) == (5, 6)
+    up = iv.certificates[1]
+    assert (up["kind"], up["value"], up["distinct"]) == ("barvinok", 6, 2)
 
 
 def test_interval_runs_sign_search_while_open():

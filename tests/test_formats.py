@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from psdrank import cpsd, factors, formats, geometry, quantum, sdp
+from psdrank import cpsd, factors, formats, geometry, quantum
 from psdrank.errors import InputError
 
 from conftest import centered_square_pair, compute_multipliers
@@ -154,34 +154,3 @@ class TestGramCodec:
         with pytest.raises(InputError, match="psd"):
             formats.decode_gram(doc)
 
-
-class TestProblemCodec:
-    def test_round_trip_keeps_blocks(self):
-        p = sdp.SdpProblem(2, [[np.zeros((2, 2)), np.eye(2), np.diag([1.0, -1.0])]])
-        doc = formats.encode_problem(p)
-        assert set(doc) == {"n", "blocks"}
-        q = formats.decode_problem(doc)
-        assert q.n == 2
-        assert np.array_equal(q.blocks[0], p.blocks[0])
-
-    @pytest.mark.parametrize("field,value", [
-        ("eq_a", formats.encode_matrix([[1.0]])), ("eq_d", [1.0])])
-    def test_equality_fields_refused(self, field, value):
-        doc = formats.encode_problem(sdp.SdpProblem(1, [[np.zeros((1, 1)), np.eye(1)]]))
-        with pytest.raises(InputError, match=field):
-            formats.decode_problem({**doc, field: value})
-
-    def test_null_equality_fields_read(self):
-        doc = formats.encode_problem(sdp.SdpProblem(1, [[np.zeros((1, 1)), np.eye(1)]]))
-        q = formats.decode_problem({**doc, "eq_a": None, "eq_d": None})
-        assert sdp.solve(q).status == "feasible"
-
-    def test_round_trip_without_optional_parts(self):
-        p = sdp.SdpProblem(1, [[np.zeros((1, 1)), np.eye(1)]])
-        q = formats.decode_problem(formats.encode_problem(p))
-        sol = sdp.solve(q)
-        assert sol.status == "feasible"
-
-    def test_missing_keys(self):
-        with pytest.raises(InputError, match="blocks"):
-            formats.decode_problem({"n": 1})
