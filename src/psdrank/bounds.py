@@ -109,10 +109,14 @@ def psd_rank_lower(m, opts: BoundOptions | None = None):
     """
     opts = opts or BoundOptions()
     mm = linalg.as_nonnegative(m, opts.tol)
-    rows, cols = _canonical(mm, opts.tol)
+    return _lower_on(mm, *_canonical(mm, opts.tol), opts.tol)
+
+
+def _lower_on(mm, rows, cols, tol):
+    """psd_rank_lower of mm on the rows and columns _canonical keeps."""
     if rows.size == 0:
         return 0, {"kind": "rank-bound", "rank": 0, "value": 0, "rows": [], "cols": []}
-    search = _LowerSearch(mm, opts.tol)
+    search = _LowerSearch(mm, tol)
     value, cert = search.node(_mask(rows), _mask(cols))
     if search.truncated:
         cert = {**cert, "truncated": True}
@@ -560,7 +564,7 @@ def psd_rank_interval(m, opts: BoundOptions | None = None) -> RankInterval:
     block = mm[np.ix_(rows, cols)]
 
     kept = {"rows": rows.tolist(), "cols": cols.tolist()}
-    lo, lo_cert = psd_rank_lower(mm, opts)
+    lo, lo_cert = _lower_on(mm, rows, cols, opts.tol)
     up, up_cert = psd_rank_upper(block, replace(opts, use_sqrt=False))
     certs = [lo_cert, {**up_cert, **kept}]
 

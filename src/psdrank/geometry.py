@@ -5,8 +5,10 @@ A rank-3 nonnegative matrix is, after row normalization, the slack matrix of
 a polygon P nested in a polyhedron Q. Its psd rank is 2 exactly when some
 ellipse E satisfies P inside E inside Q; that containment is an SDP in the
 quadratic form of E, with one multiplier per facet of Q tying E inside each
-halfplane. A certifying ellipse converts into an explicit size-2
-factorization through a fixed linear section of the 2x2 psd cone.
+halfplane. Every such facet block holds the quadratic part of E as its
+leading 2x2, so the program needs no separate psd block for it. A
+certifying ellipse converts into an explicit size-2 factorization through a
+fixed linear section of the 2x2 psd cone.
 
 The question is invariant under affine maps of the plane, so the pair is
 built in one chart: P is centered on its principal axes, read off one SVD
@@ -207,14 +209,18 @@ def _theta(x) -> np.ndarray:
 
 
 def ellipse_program(pair: SandwichPair) -> sdp.SdpProblem:
-    """The containment SDP: find Theta and multipliers with the quadratic
-    part A of Theta psd, every vertex inside and every facet S-procedure
-    block psd.
+    """The containment SDP: find Theta and multipliers lam_j >= 0 with
+    every vertex inside and every facet S-procedure block
+    Theta - lam_j F_j psd.
 
     Variables: (u, a12, b1, b2, c, lam_1..lam_f), read by _theta, whose
     A = [[1/2 + u, a12], [a12, 1/2 - u]] has trace 1 for every x: the scale
     of Theta is fixed by the parametrization, so the program has no
-    equality, and x = 0 is A = I/2.
+    equality, and x = 0 is A = I/2. A needs no block of its own: F_j is
+    zero in its top-left 2x2, so A is the leading 2x2 of every facet
+    block, and a psd facet block (minus tau I, in the margin program)
+    makes A (minus tau I) psd. A PolyhedronH has at least one facet, so
+    the blocks are 1x1 and 3x3 only.
     """
     verts = pair.inner.vertices
     normals, offsets = pair.outer.normals, pair.outer.offsets
@@ -227,10 +233,6 @@ def ellipse_program(pair: SandwichPair) -> sdp.SdpProblem:
     tc = np.array([_theta(e) for e in np.eye(6, 5, -1)])
     tc[1:] -= tc[0]
     blocks = []
-
-    a_block = np.zeros((n + 1, 2, 2))
-    a_block[:6] = tc[:, :2, :2]
-    blocks.append(a_block)
 
     # vertex rows: q(x) = <Theta, h h^T> <= 0 with h = (x, 1)
     h = np.hstack([verts, np.ones((len(verts), 1))])

@@ -7,12 +7,15 @@ geometry.ellipse_program does for the trace of its ellipse. solve decides
 whether the section is nonempty through an always-strictly-feasible
 max-margin reformulation: maximize tau subject to every block minus tau I
 staying psd, in a box |x_i| <= BOX. A plain logarithmic-barrier path
-follower with Newton centering runs it inside solve; its iterate is the
-answer on the feasible side, and on the infeasible side the barrier's dual,
-normalized to trace 1 and re-verified, is a separating certificate. solve
-takes no settings: GAP_TOL, FEAS_TOL and the other tolerances below are
-module constants. Everything is dense and deterministic; intended for
-block sizes up to ~30 and a few hundred variables.
+follower with Newton centering runs it inside solve. On the feasible side
+it ends at the first Newton iterate with tau >= DECISIVE, which need not
+finish its centering stage: every iterate in the barrier domain already
+has each block minus tau I positive definite, and that iterate is the
+answer. On the infeasible side the barrier's dual, normalized to trace 1
+and re-verified, is a separating certificate. solve takes no settings:
+GAP_TOL, FEAS_TOL and the other tolerances below are module constants.
+Everything is dense and deterministic; intended for block sizes up to ~30
+and a few hundred variables.
 
 The barrier kernel groups blocks by size and keeps each group's
 coefficients flattened, one row per variable, so a section is
@@ -331,7 +334,7 @@ def _line_min(c_dx, mu, w):
     return a
 
 
-def _center(cones, c_lin, x0):
+def _center(cones, c_lin, x0, stop=None):
     """Newton minimization of c_lin.x + sum of weighted block barriers from
     x0, which must lie inside every cone.
 
@@ -341,7 +344,8 @@ def _center(cones, c_lin, x0):
     the exact minimizer of the potential along dx (_line_min); from there on
     it is the full step, which stays inside the Dikin ellipsoid and keeps
     the quadratic convergence exact. A converged iterate returns x + dx.
-    Returns (x, steps).
+    When stop is given, the first accepted iterate x with stop(x) true is
+    returned as it is, with the steps that reached it. Returns (x, steps).
     """
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
@@ -384,6 +388,8 @@ def _center(cones, c_lin, x0):
         phi, facs = _factor(cones, c_lin, x)
         if facs is None:
             raise NumericalFailure("Newton step left the cone domain during centering")
+        if stop is not None and stop(x):
+            return x, step + 1
     raise NumericalFailure("Newton iteration cap exceeded during centering")
 
 
@@ -400,10 +406,12 @@ def solve(problem: SdpProblem) -> SdpSolution:
     "numerical-failure" when the margin and the dual settle neither answer.
 
     The max-margin path runs in (x, tau) from x = 0, growing its parameter t
-    by MU per centering stage. A stage ends it as soon as tau reaches
-    DECISIVE or the stage's dual passes _certified; otherwise it stops once
-    its duality gap nu / t reaches GAP_TOL, or at the last finished stage
-    when a centering fails. Deterministic.
+    by MU per centering stage. It ends at the first Newton iterate whose tau
+    reaches DECISIVE, mid-stage if need be, or after a stage whose dual
+    passes _certified; otherwise it stops once its duality gap nu / t
+    reaches GAP_TOL, or at the last finished stage when a centering fails.
+    newton_steps counts the centering steps plus one per path stage.
+    Deterministic.
     """
     p = problem
     n = p.n
@@ -421,7 +429,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
     last = None
     while True:
         try:
-            x, used = _center(cones, t * c_obj, x)
+            x, used = _center(cones, t * c_obj, x, stop=lambda y: y[n] >= DECISIVE)
         except NumericalFailure:
             # keep the last finished stage: the decision bands stay sound
             # at any achieved gap, and deeper t values exceed float64 anyway
@@ -432,8 +440,9 @@ def solve(problem: SdpProblem) -> SdpSolution:
         steps += used + 1
         tau, gap = float(x[n]), nu / t
         if tau >= DECISIVE:
-            # the iterate itself proves strict feasibility; refining the
-            # margin further only pushes x toward the box scale
+            # every iterate in the domain has each block minus tau I
+            # positive definite, so this one proves strict feasibility;
+            # refining the margin further only pushes x toward the box scale
             break
         if tau + gap < -FEAS_TOL:
             cert = _margin_certificate(p, x, t)

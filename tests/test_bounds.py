@@ -227,6 +227,21 @@ class TestInterval:
         iv = bounds.psd_rank_interval(m)
         assert (iv.lower, iv.upper) == (2, 2)
 
+    @pytest.mark.parametrize("m", [families.derangement(5), families.hexagon_slack()],
+                             ids=["derangement5", "hexagon"])
+    def test_canonical_block_is_computed_once(self, m, monkeypatch):
+        canonical = bounds._canonical
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return canonical(*args)
+
+        monkeypatch.setattr(bounds, "_canonical", counting)
+        iv = bounds.psd_rank_interval(m)
+        assert len(calls) == 1
+        assert iv.lower == bounds.psd_rank_lower(m)[0]
+
     def test_invalid_interval_rejected(self):
         with pytest.raises(InputError):
             RankInterval(3, 2, ())

@@ -186,16 +186,28 @@ class TestEllipseProgram:
         program = geometry.ellipse_program(pair)
         assert program.n == 5 + f
         assert set(vars(program)) == {"n", "blocks"}
+        assert {blk.shape[-1] for blk in program.blocks} == {1, 3}
         rng = np.random.default_rng(3)
         for x in rng.standard_normal((5, program.n)):
             values = program.block_values(x)
-            assert abs(np.trace(values[0]) - 1.0) <= 1e-12
             e = geometry._solution_to_ellipse(x)
-            assert np.allclose(values[0], e.a_form, atol=1e-12)
+            assert abs(np.trace(e.a_form) - 1.0) <= 1e-12
+            # the leading 2x2 of every facet block is A itself
+            facets = [v for v in values if v.shape == (3, 3)]
+            assert len(facets) == f
+            for v in facets:
+                assert np.allclose(v[:2, :2], e.a_form, atol=1e-12)
             # the vertex rows read -q(v) of the same Theta
-            verts = [v[0, 0] for v in values[1:1 + len(pair.inner.vertices)]]
+            verts = [v[0, 0] for v in values[:len(pair.inner.vertices)]]
             assert np.allclose(verts, [-e.evaluate(v) for v in pair.inner.vertices],
                                atol=1e-12)
+
+    def test_quadratic_part_has_no_block_of_its_own(self):
+        # every facet block holds A as its leading 2x2, so a 2x2 block for
+        # A would repeat what the facet blocks already force
+        pair = geometry.polytopes_from_matrix(families.circulant3(1.0, 1.3, 0.4))
+        program = geometry.ellipse_program(pair)
+        assert all(blk.shape[-1] != 2 for blk in program.blocks)
 
     def test_origin_is_the_half_identity(self):
         pair = geometry.polytopes_from_matrix(families.circulant3(1.0, 1.3, 0.4))

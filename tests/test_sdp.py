@@ -370,6 +370,21 @@ class TestCentering:
         assert np.max(np.abs(x - center)) <= 1e-9 * np.max(np.abs(center))
 
 
+    def test_stop_returns_the_first_iterate_it_accepts(self):
+        cones, c_lin, x0 = self.case("blocks")
+        _, full_steps = sdp._center(cones, c_lin, x0)
+        seen = []
+
+        def third(x):
+            seen.append(x.copy())
+            return len(seen) == 3
+
+        assert full_steps > 3
+        x, steps = sdp._center(cones, c_lin, x0, stop=third)
+        assert len(seen) == steps == 3
+        assert np.array_equal(x, seen[-1])
+
+
 class TestEllipseSection:
     def test_boundary_family_is_feasible(self):
         pair = geometry.polytopes_from_matrix(families.circulant3(1.0, 1.0, 4.0))
@@ -389,6 +404,30 @@ class TestEllipseSection:
         assert a.status == b.status == "feasible"
         assert np.array_equal(a.x, b.x)
         assert a.newton_steps == b.newton_steps
+
+    def test_solve_ends_at_the_first_decisive_iterate(self, monkeypatch):
+        center = sdp._center
+        stages = []
+
+        def recording(cones, c_lin, x0, stop=None):
+            # tau at the stage's start, then at every iterate stop is asked about
+            taus = [float(x0[-1])]
+            stages.append(taus)
+
+            def spy(x):
+                taus.append(float(x[-1]))
+                return stop(x)
+
+            return center(cones, c_lin, x0, stop=spy)
+
+        monkeypatch.setattr(sdp, "_center", recording)
+        pair = geometry.polytopes_from_matrix(families.circulant3(1.0, 1.3, 0.4))
+        sol = sdp.solve(geometry.ellipse_program(pair))
+        assert sol.status == "feasible"
+        assert sol.margin >= sdp.DECISIVE
+        final = stages[-1]
+        assert final[-1] >= sdp.DECISIVE > final[-2]
+        assert all(tau < sdp.DECISIVE for taus in stages[:-1] for tau in taus)
 
 
 class TestMinVolumeShape:
