@@ -97,7 +97,7 @@ def _distinct_directions(a, tol):
 # lower bounds
 
 
-def psd_rank_lower(m, opts: BoundOptions | None = None):
+def psd_rank_lower(m, opts: BoundOptions | None = None, *, _kept=None):
     """(value, certificate): a proven lower bound on the psd rank.
 
     The certificate records which argument wins: the square-root-of-rank
@@ -106,17 +106,19 @@ def psd_rank_lower(m, opts: BoundOptions | None = None):
     and column indices of m it keeps (see check_lower_certificate). The
     search stops early where no split can gain; past its budget the bound
     found so far comes back with "truncated": True.
+
+    _kept is private: psd_rank_interval passes an m already through
+    linalg.as_nonnegative with the (rows, cols) _canonical found for it, so
+    the canonical block is computed once per interval.
     """
     opts = opts or BoundOptions()
-    mm = linalg.as_nonnegative(m, opts.tol)
-    return _lower_on(mm, *_canonical(mm, opts.tol), opts.tol)
-
-
-def _lower_on(mm, rows, cols, tol):
-    """psd_rank_lower of mm on the rows and columns _canonical keeps."""
+    if _kept is None:
+        m = linalg.as_nonnegative(m, opts.tol)
+        _kept = _canonical(m, opts.tol)
+    rows, cols = _kept
     if rows.size == 0:
         return 0, {"kind": "rank-bound", "rank": 0, "value": 0, "rows": [], "cols": []}
-    search = _LowerSearch(mm, tol)
+    search = _LowerSearch(m, opts.tol)
     value, cert = search.node(_mask(rows), _mask(cols))
     if search.truncated:
         cert = {**cert, "truncated": True}
@@ -564,7 +566,7 @@ def psd_rank_interval(m, opts: BoundOptions | None = None) -> RankInterval:
     block = mm[np.ix_(rows, cols)]
 
     kept = {"rows": rows.tolist(), "cols": cols.tolist()}
-    lo, lo_cert = _lower_on(mm, rows, cols, opts.tol)
+    lo, lo_cert = psd_rank_lower(mm, opts, _kept=(rows, cols))
     up, up_cert = psd_rank_upper(block, replace(opts, use_sqrt=False))
     certs = [lo_cert, {**up_cert, **kept}]
 

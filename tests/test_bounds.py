@@ -230,16 +230,22 @@ class TestInterval:
     @pytest.mark.parametrize("m", [families.derangement(5), families.hexagon_slack()],
                              ids=["derangement5", "hexagon"])
     def test_canonical_block_is_computed_once(self, m, monkeypatch):
-        canonical = bounds._canonical
-        calls = []
+        calls = {"_canonical": 0, "psd_rank_lower": 0}
 
-        def counting(*args):
-            calls.append(args)
-            return canonical(*args)
+        def counting(name):
+            fn = getattr(bounds, name)
 
-        monkeypatch.setattr(bounds, "_canonical", counting)
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(bounds, name, counted)
+
+        counting("_canonical")
+        counting("psd_rank_lower")
         iv = bounds.psd_rank_interval(m)
-        assert len(calls) == 1
+        # the lower search still runs as psd_rank_lower, on the same block
+        assert calls == {"_canonical": 1, "psd_rank_lower": 1}
         assert iv.lower == bounds.psd_rank_lower(m)[0]
 
     def test_invalid_interval_rejected(self):

@@ -202,13 +202,6 @@ class TestEllipseProgram:
             assert np.allclose(verts, [-e.evaluate(v) for v in pair.inner.vertices],
                                atol=1e-12)
 
-    def test_quadratic_part_has_no_block_of_its_own(self):
-        # every facet block holds A as its leading 2x2, so a 2x2 block for
-        # A would repeat what the facet blocks already force
-        pair = geometry.polytopes_from_matrix(families.circulant3(1.0, 1.3, 0.4))
-        program = geometry.ellipse_program(pair)
-        assert all(blk.shape[-1] != 2 for blk in program.blocks)
-
     def test_origin_is_the_half_identity(self):
         pair = geometry.polytopes_from_matrix(families.circulant3(1.0, 1.3, 0.4))
         e = geometry._solution_to_ellipse(np.zeros(geometry.ellipse_program(pair).n))
