@@ -6,9 +6,11 @@ Usage:
         [--pairs 3] [--seed 4242] [--seconds 35]
 
 DIR is a checkout of the parent commit, made with `git archive` or
-`git clone`. For each pair, both checkouts run their own
-`bench/run.py --workload all`, alternating which side runs first; each side
-also runs one traced pass (`--trace 1 --seed 1`). A probe process per side
+`git clone`. For each pair and each workload of BENCHMARK.json, both
+checkouts run their own `bench/run.py --workload W` back to back,
+alternating from pair to pair which side runs first, so the two runs of a
+pair follow each other; each side also runs one traced pass
+(`--workload all --trace 1 --seed 1`). A probe process per side
 then imports psdrank from that checkout's src/ and records:
     - the `src/` line count (`wc -l` over its .py files);
     - the in-process `cli.main` wall time of `region circulant --grid 41`
@@ -22,7 +24,6 @@ prints the probe's JSON for one checkout.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import platform
@@ -38,10 +39,10 @@ REGION_REPEATS = 3
 RANDOM_PAIRS = 300
 
 
-def _bench(checkout, *args):
-    """Last stdout line of `bench/run.py --workload all` in checkout, parsed."""
+def _bench(checkout, workload, *args):
+    """Last stdout line of `bench/run.py --workload workload` in checkout, parsed."""
     res = subprocess.run([sys.executable, os.path.join(checkout, "bench", "run.py"),
-                          "--workload", "all", *map(str, args)],
+                          "--workload", workload, *map(str, args)],
                          cwd=checkout, stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(res.stdout.strip().splitlines()[-1])
 
@@ -148,13 +149,19 @@ def _machine():
 def record(parent, pairs, seed, seconds):
     sides = {"parent": os.path.abspath(parent),
              "change": os.path.dirname(os.path.dirname(os.path.abspath(__file__)))}
+    with open(os.path.join(sides["change"], "BENCHMARK.json")) as fh:
+        names = [w["name"] for w in json.load(fh)["workloads"]]
     runs = {"order": [], "parent": [], "change": []}
     for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         runs["order"].append(list(order))
         for side in order:
-            print(f"pair {i}: {side}", file=sys.stderr, flush=True)
-            runs[side].append(_bench(sides[side], "--seed", seed, "--seconds", seconds))
+            runs[side].append({})
+        for name in names:
+            for side in order:
+                print(f"pair {i}: {name}: {side}", file=sys.stderr, flush=True)
+                runs[side][i][name] = _bench(sides[side], name, "--seed", seed,
+                                             "--seconds", seconds)
     summary = {}
     for name in runs["parent"][0]:
         row = {}
@@ -165,7 +172,7 @@ def record(parent, pairs, seed, seconds):
         row["correct"] = all(r[name]["correct"] for s in ("parent", "change") for r in runs[s])
         row["failed"] = {s: [r[name]["failed"] for r in runs[s]] for s in ("parent", "change")}
         summary[name] = row
-    traced = {side: _bench(path, "--seed", 1, "--seconds", seconds, "--trace", 1)
+    traced = {side: _bench(path, "all", "--seed", 1, "--seconds", seconds, "--trace", 1)
               for side, path in sides.items()}
     probes = {}
     for side, path in sides.items():
@@ -174,7 +181,8 @@ def record(parent, pairs, seed, seconds):
         probes[side] = json.loads(res.stdout)
     return {
         "machine": _machine(),
-        "command": f"python3 bench/run.py --workload all --seed {seed} --seconds {seconds:g}",
+        "command": f"python3 bench/run.py --workload W --seed {seed} --seconds {seconds:g}, "
+                   "both sides of a pair back to back per workload W",
         "pairs": pairs,
         "runs": runs,
         "summary": summary,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -223,32 +224,25 @@ def _cmd_cpsd(args, cfg) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def _region_rows_circulant(grid: int):
-    vals = np.linspace(0.0, 2.0, grid)
-    for b in vals:
-        for c in vals:
-            m = families.circulant3(1.0, float(b), float(c))
-            yield float(b), float(c), m
-
-
-def _region_rows_nested(grid: int):
-    vals = np.linspace(0.0, 1.0, grid + 2)[1:-1]
-    for a in vals:
-        for b in vals:
-            m = families.nested_rectangles(float(a), float(b))
-            yield float(a), float(b), m
+# family -> (grid values for --grid, the matrix at a grid point)
+_REGIONS = {
+    "circulant": (lambda grid: np.linspace(0.0, 2.0, grid),
+                  lambda b, c: families.circulant3(1.0, b, c)),
+    "nested-rect": (lambda grid: np.linspace(0.0, 1.0, grid + 2)[1:-1],
+                    families.nested_rectangles),
+}
 
 
 def _cmd_region(args, cfg) -> int:
     grid = args.grid
     if grid < 1:
         raise InputError(f"--grid must be at least 1, got {grid}")
-    rows = _region_rows_circulant(grid) if args.family == "circulant" \
-        else _region_rows_nested(grid)
+    values, family = _REGIONS[args.family]
+    vals = [float(v) for v in values(grid)]
     lines = ["b,c,decision"]
-    for b, c, m in rows:
+    for b, c in itertools.product(vals, vals):
         try:
-            answer, _ = geometry.decide_psd_rank_le_2(m)
+            answer, _ = geometry.decide_psd_rank_le_2(family(b, c))
             decision = "1" if answer else "0"
         except NumericalFailure:
             decision = "fail"
@@ -354,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_cpsd)
 
     p = sub.add_parser("region", help="decision grid CSV for the rank-2 regions")
-    p.add_argument("family", choices=("circulant", "nested-rect"))
+    p.add_argument("family", choices=tuple(_REGIONS))
     p.add_argument("--grid", type=int, default=41)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=_cmd_region)

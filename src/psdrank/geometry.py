@@ -152,11 +152,13 @@ class Ellipse:
         return float(h @ self.theta @ h)
 
 
-def _facet_form(g: np.ndarray, h: float) -> np.ndarray:
-    out = np.zeros((3, 3))
-    out[:2, 2] = g / 2.0
-    out[2, :2] = g / 2.0
-    out[2, 2] = -h
+def _facet_forms(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """(f, 3, 3) forms F_j of the halfplanes g_j . x <= h_j: <F_j, (x, 1)(x, 1)^T>
+    is g_j . x - h_j."""
+    out = np.zeros((len(offsets), 3, 3))
+    out[:, :2, 2] = normals / 2.0
+    out[:, 2, :2] = normals / 2.0
+    out[:, 2, 2] = -offsets
     return out
 
 
@@ -186,7 +188,7 @@ def certify(pair: SandwichPair, e: Ellipse, tol: float = 1e-7) -> EllipseCheck:
     normals, offsets = pair.outer.normals, pair.outer.offsets
     if e.multipliers.size != offsets.size:
         raise InputError("multiplier count does not match the outer inequality count")
-    forms = np.array([_facet_form(g, h) for g, h in zip(normals, offsets)]).reshape(-1, 3, 3)
+    forms = _facet_forms(normals, offsets)
     facet_min = linalg.eig_extremes(e.theta - e.multipliers[:, None, None] * forms,
                                     name="facet block")[0]
     facet_violation = max(0.0, -float(np.min(facet_min, initial=0.0)))
@@ -220,7 +222,8 @@ def ellipse_program(pair: SandwichPair) -> sdp.SdpProblem:
     zero in its top-left 2x2, so A is the leading 2x2 of every facet
     block, and a psd facet block (minus tau I, in the margin program)
     makes A (minus tau I) psd. A PolyhedronH has at least one facet, so
-    the blocks are 1x1 and 3x3 only.
+    the program has two groups: the 1x1 vertex rows and multiplier signs,
+    and the 3x3 facet blocks.
     """
     verts = pair.inner.vertices
     normals, offsets = pair.outer.normals, pair.outer.offsets
@@ -232,26 +235,22 @@ def ellipse_program(pair: SandwichPair) -> sdp.SdpProblem:
     # (6, 3, 3): Theta's constant term, then d Theta / d (u, a12, b1, b2, c)
     tc = np.array([_theta(e) for e in np.eye(6, 5, -1)])
     tc[1:] -= tc[0]
-    blocks = []
+    v, j = len(verts), np.arange(f)
 
-    # vertex rows: q(x) = <Theta, h h^T> <= 0 with h = (x, 1)
-    h = np.hstack([verts, np.ones((len(verts), 1))])
-    quads = (h[:, :, None] * h[:, None, :]).reshape(len(verts), 9)
-    vert_blocks = np.zeros((len(verts), n + 1, 1, 1))
-    vert_blocks[:, :6, 0, 0] = -(quads @ tc.reshape(6, 9).T)
-    blocks.extend(vert_blocks)
+    # 1x1 group: the vertex rows q(x) = <Theta, h h^T> <= 0 with h = (x, 1),
+    # then the multiplier signs lam_j >= 0
+    h = np.hstack([verts, np.ones((v, 1))])
+    quads = (h[:, :, None] * h[:, None, :]).reshape(v, 9)
+    rows = np.zeros((n + 1, v + f, 1, 1))
+    rows[:6, :v, 0, 0] = -(quads @ tc.reshape(6, 9).T).T
+    rows[6 + j, v + j] = 1.0
 
-    for j, (g, hval) in enumerate(zip(normals, offsets)):
-        form = _facet_form(np.asarray(g, dtype=float), float(hval))
-        blk = np.zeros((n + 1, 3, 3))
-        blk[:6] = tc
-        blk[6 + j] = -form
-        blocks.append(blk)
-        pos = np.zeros((n + 1, 1, 1))
-        pos[6 + j, 0, 0] = 1.0
-        blocks.append(pos)
+    # 3x3 group: the facet blocks Theta - lam_j F_j
+    facets = np.zeros((n + 1, f, 3, 3))
+    facets[:6] = tc[:, None]
+    facets[6 + j, j] = -_facet_forms(normals, offsets)
 
-    return sdp.SdpProblem(n=n, blocks=blocks)
+    return sdp.SdpProblem(n=n, blocks=[rows, facets])
 
 
 def _solution_to_ellipse(x: np.ndarray) -> Ellipse:

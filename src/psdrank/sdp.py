@@ -1,7 +1,8 @@
 """Small dense semidefinite feasibility solver over block LMI constraints.
 
 Problems are affine sections of psd cones: each block is a coefficient list
-(F0, F1, .., Fn) meaning F0 + sum_i x_i F_i >= 0. There are no equality
+(F0, F1, .., Fn) meaning F0 + sum_i x_i F_i >= 0, and the caller groups the
+blocks by size, one (n+1, B, s, s) stack per group. There are no equality
 constraints; a caller parametrizes any it needs into its variables, as
 geometry.ellipse_program does for the trace of its ellipse. solve decides
 whether the section is nonempty through an always-strictly-feasible
@@ -17,18 +18,19 @@ GAP_TOL, FEAS_TOL and the other tolerances below are module constants.
 Everything is dense and deterministic; intended for block sizes up to ~30
 and a few hundred variables.
 
-The barrier kernel groups blocks by size and keeps each group's
-coefficients flattened, one row per variable, so a section is
+The barrier kernel makes one cone per group and keeps its coefficients
+flattened, one row per variable, so a section is
 F0 + (x @ G).reshape(B, s, s): one matmul for every block of the group.
-All 1x1 blocks (sign rows, caps, box bounds) form one diagonal cone with
-a closed-form gradient and Hessian. Each Newton iterate costs one batched
-eigendecomposition per cone: it gives the log-determinant, the domain
-check, F^-1 for the gradient and Hessian, and F^-1/2 for the eigenvalues mu
-of F^-1/2 dF F^-1/2 along the Newton direction dx. With those the potential
-along dx is a c.dx - sum w log(1 + a mu) in closed form, and the step is its
-exact minimizer (the plane search of Vandenberghe & Boyd, "Semidefinite
-programming", SIAM Review 1996) until the Newton decrement falls to 1/4,
-the full step after that; no trial point is factored.
+All 1x1 groups, the margin cap and the box bounds form one diagonal cone
+with a closed-form gradient and Hessian. Each Newton iterate costs one
+batched eigendecomposition per cone: it gives the log-determinant, the
+domain check, F^-1 for the gradient and Hessian, and F^-1/2 for the
+eigenvalues mu of F^-1/2 dF F^-1/2 along the Newton direction dx. With
+those the potential along dx is a c.dx - sum w log(1 + a mu) in closed
+form, and the step is its exact minimizer (the plane search of
+Vandenberghe & Boyd, "Semidefinite programming", SIAM Review 1996) until
+the Newton decrement falls to 1/4, the full step after that; no trial
+point is factored.
 
 Determinant maximization over one symmetric d x d matrix X = smat(x) uses a
 congruence cone instead: every block is F_b = c_b I + sigma_b R_b X R_b, so
@@ -69,6 +71,12 @@ SLACK_TOL = 1e-8
 
 @dataclass
 class SdpProblem:
+    """Blocks F0 + sum_i x_i F_i >= 0 in n variables, grouped by size by the
+    caller: each entry of blocks is an (n+1, B, s, s) stack, coefficient
+    matrix i of each of its B blocks of size s. Any number of groups, in
+    any order, and two groups may share a size; every check runs once per
+    group. block_values and margins answer group by group."""
+
     n: int
     blocks: list
 
@@ -76,39 +84,37 @@ class SdpProblem:
         self.n = int(self.n)
         if self.n < 0:
             raise InputError("variable count must be nonnegative")
-        clean = [_check_block(blk, self.n) for blk in self.blocks]
+        clean = []
+        for group in self.blocks:
+            try:
+                group = np.asarray(group, dtype=float)
+            except ValueError:
+                raise InputError("block group is not an (n+1, B, s, s) array") from None
+            if group.ndim != 4 or len(group) != self.n + 1 or group.shape[1] == 0:
+                raise InputError(f"block group must be an ({self.n + 1}, B, s, s) stack "
+                                 f"with B >= 1, got shape {group.shape}")
+            clean.append(linalg.sym_stack(group.reshape((-1,) + group.shape[2:]),
+                                          name="block matrix").reshape(group.shape))
         if not clean:
             raise InputError("problem has no constraint blocks")
         self.blocks = clean
 
     def block_values(self, x):
+        """F0 + sum_i x_i F_i of every group at x, (B, s, s) each."""
         x = np.asarray(x, dtype=float)
-        return [_section(*_flat(blk), x) for blk in self.blocks]
+        return [_section(*_flat(group), x) for group in self.blocks]
 
     def margins(self, x):
-        """Smallest eigenvalue of every block at x, one batched call per block size."""
-        values = self.block_values(x)
-        out = np.empty(len(values))
-        for s in {v.shape[0] for v in values}:
-            at = [i for i, v in enumerate(values) if v.shape[0] == s]
-            out[at] = linalg.eig_extremes(np.stack([values[i] for i in at]))[0]
-        return out
-
-
-def _check_block(blk, n):
-    """(n+1, s, s) symmetric coefficient stack; one vectorized check per block."""
-    mats = [np.asarray(f, dtype=float) for f in blk]
-    if any(m.ndim != 2 for m in mats):
-        raise InputError("block matrix must be 2-dimensional")
-    if len(mats) != n + 1:
-        raise InputError(f"block needs {n + 1} coefficient matrices, got {len(mats)}")
-    if len({m.shape for m in mats}) != 1:
-        raise InputError("coefficient matrices in a block differ in size")
-    return linalg.sym_stack(np.stack(mats), name="block matrix")
+        """Smallest eigenvalue of every block at x, group after group."""
+        return np.concatenate([linalg.eig_extremes(v)[0] for v in self.block_values(x)])
 
 
 @dataclass(frozen=True)
 class SdpSolution:
+    """What solve found. block_margins holds the smallest eigenvalue of every
+    block at x, group by group in the problem's order of groups; the
+    certificate's blocks are one (B, s, s) stack of duals per group."""
+
     status: str
     x: np.ndarray | None
     block_margins: np.ndarray | None
@@ -127,9 +133,9 @@ def _section(f0, g, x):
     return f0 + (x @ g).reshape(f0.shape)
 
 
-def _flat(blk):
-    """Coefficient stack (n+1, s, s) as its constant term and (n, s*s) rows."""
-    return blk[0], blk.reshape(len(blk), -1)[1:]
+def _flat(group):
+    """Group (n+1, B, s, s) as its constant terms (B, s, s) and (n, B*s*s) rows."""
+    return group[0], group.reshape(len(group), -1)[1:]
 
 
 class _Cone:
@@ -255,31 +261,22 @@ class _CongruenceCone(_Cone):
         return mu.reshape(-1), np.repeat(self.w, mu.shape[-1])
 
 
-def _group_blocks(blocks, weights=None):
-    """One cone per block size, sizes ascending; the 1x1 blocks form a _DiagCone."""
-    if weights is None:
-        weights = [1.0] * len(blocks)
-    by_size: dict = {}
-    for blk, w in zip(blocks, weights):
-        by_size.setdefault(blk.shape[-1], []).append((blk, w))
-    cones = []
-    for s in sorted(by_size):
-        group = by_size[s]
-        # (n+1, B, s, s): variable-major, so each G_i is one contiguous row
-        f0, g = _flat(np.stack([blk for blk, _ in group], axis=1))
-        w = [w for _, w in group]
-        cones.append(_DiagCone(f0.reshape(-1), g, w) if s == 1 else _Cone(f0, g, w))
-    return cones
+def _cone(group, weights=None):
+    """The barrier of one (n+1, B, s, s) group, unit weights by default; a
+    _DiagCone when s is 1."""
+    f0, g = _flat(group)
+    w = np.ones(group.shape[1]) if weights is None else weights
+    return _DiagCone(f0.reshape(-1), g, w) if group.shape[-1] == 1 else _Cone(f0, g, w)
 
 
 def _box_blocks(n, nvar, box):
-    """Scalar blocks box + x_i >= 0 and box - x_i >= 0 on the first n of nvar variables."""
-    blk = np.zeros((2 * n, nvar + 1, 1, 1))
-    blk[:, 0] = box
+    """The 1x1 group of box + x_i >= 0 and box - x_i >= 0 on the first n of nvar variables."""
+    group = np.zeros((nvar + 1, 2 * n, 1, 1))
+    group[0] = box
     i = np.arange(n)
-    blk[2 * i, i + 1] = 1.0
-    blk[2 * i + 1, i + 1] = -1.0
-    return list(blk)
+    group[i + 1, 2 * i] = 1.0
+    group[i + 1, 2 * i + 1] = -1.0
+    return group
 
 
 def _factor(cones, c_lin, x):
@@ -416,14 +413,14 @@ def solve(problem: SdpProblem) -> SdpSolution:
     p = problem
     n = p.n
 
-    blocks = _margin_blocks(p)
-    nu = sum(b.shape[-1] for b in blocks)
+    groups = _margin_blocks(p)
+    nu = sum(g.shape[1] * g.shape[-1] for g in groups)
     tau0 = min(p.margins(np.zeros(n)).min(), 1.0) - 1.0
     x = np.zeros(n + 1)
     x[n] = tau0
     c_obj = np.zeros(n + 1)
     c_obj[n] = -1.0
-    cones = _group_blocks(blocks)
+    cones = [_cone(g) for g in groups]
     t = 1.0
     steps = 0
     last = None
@@ -473,39 +470,42 @@ def _certified(cert) -> bool:
 
 
 def _margin_blocks(p: SdpProblem):
-    """Blocks of the margin problem in variables (x, tau)."""
+    """Groups of the margin problem in variables (x, tau), each block minus
+    tau I: first one 1x1 group that joins p's 1x1 groups, the cap tau <= 1
+    and the box, in that order; then p's larger groups in their order."""
     n = p.n
-    ext = [np.concatenate([blk, -np.eye(blk.shape[-1])[None]], axis=0) for blk in p.blocks]
-    cap = np.zeros((n + 2, 1, 1))
-    cap[0, 0, 0] = 1.0
-    cap[n + 1, 0, 0] = -1.0
-    ext.append(cap)
-    return ext + _box_blocks(n, n + 1, BOX)
+    ext = [np.concatenate([g, np.broadcast_to(-np.eye(g.shape[-1]), (1,) + g.shape[1:])])
+           for g in p.blocks]
+    cap = np.zeros((n + 2, 1, 1, 1))
+    cap[0] = 1.0
+    cap[n + 1] = -1.0
+    diag = [g for g in ext if g.shape[-1] == 1] + [cap, _box_blocks(n, n + 1, BOX)]
+    return [np.concatenate(diag, axis=1)] + [g for g in ext if g.shape[-1] > 1]
 
 
 def _margin_certificate(p: SdpProblem, x_full, t):
-    """Normalized dual of the margin problem, box terms dropped."""
+    """Normalized dual of the margin problem, box terms dropped: one
+    (B, s, s) stack of duals per group of p."""
     n = p.n
     x = x_full[:n]
     tau = x_full[n]
     zs = []
-    total_tr = 0.0
     for f in p.block_values(x):
         try:
-            z = np.linalg.inv(f - tau * np.eye(f.shape[0])) / t
+            z = np.linalg.inv(f - tau * np.eye(f.shape[-1])) / t
         except np.linalg.LinAlgError:
             return None
-        z = 0.5 * (z + z.T)
-        zs.append(z)
-        total_tr += float(np.trace(z))
+        zs.append(0.5 * (z + z.transpose(0, 2, 1)))
+    total_tr = sum(float(np.trace(z, axis1=1, axis2=2).sum()) for z in zs)
     if total_tr <= 0:
         return None
     zs = [z / total_tr for z in zs]
     # (<Z, F0>, <Z, F1>, .., <Z, Fn>) summed over the blocks
-    pairing = sum(blk.reshape(n + 1, -1) @ z.reshape(-1) for z, blk in zip(zs, p.blocks))
+    pairing = sum(g.reshape(n + 1, -1) @ z.reshape(-1) for z, g in zip(zs, p.blocks))
     # trace of each dual is <= 1, so residuals are judged against the
     # coefficient magnitudes rather than absolutely
-    gscale = max(float(np.linalg.norm(_flat(blk)[1], axis=1).max(initial=0.0)) for blk in p.blocks)
+    gscale = max(float(np.linalg.norm(g[1:].reshape(n, g.shape[1], -1), axis=-1).max(initial=0.0))
+                 for g in p.blocks)
     return {
         "kind": "separating-dual",
         "blocks": zs,

@@ -217,8 +217,7 @@ def compute_multipliers(pair, theta, tol=1e-9):
     maximizing the minimum eigenvalue of theta - lambda * facet form."""
     theta = linalg.check_symmetric(np.asarray(theta, dtype=float), name="ellipse form")
     lams = []
-    for g, h in zip(pair.outer.normals, pair.outer.offsets):
-        form = geometry._facet_form(np.asarray(g, dtype=float), float(h))
+    for form in geometry._facet_forms(pair.outer.normals, pair.outer.offsets):
 
         def margin(lam):
             return linalg.min_eig(theta - lam * form)
@@ -257,13 +256,14 @@ def sym_basis(d):
 
 
 def coefficient_blocks(consts, roots, signs):
-    """Coefficient stacks (nvar+1, d, d) of the blocks c I + sigma R X R, one
+    """The (nvar+1, B, d, d) group of the blocks c I + sigma R X R, coefficients
     [c I, sigma R E_a R for every basis E_a] per root: how min_volume_shape
     built its blocks before the congruence cone."""
     d = roots.shape[-1]
     basis = sym_basis(d)
-    return [np.concatenate([c * np.eye(d)[None], np.stack([s * (r @ e @ r) for e in basis])])
-            for c, r, s in zip(consts, roots, signs)]
+    blocks = [np.concatenate([c * np.eye(d)[None], np.stack([s * (r @ e @ r) for e in basis])])
+              for c, r, s in zip(consts, roots, signs)]
+    return np.stack(blocks, axis=1)
 
 
 class StackedCongruenceCone(sdp._CongruenceCone):
@@ -273,7 +273,7 @@ class StackedCongruenceCone(sdp._CongruenceCone):
 
     def __init__(self, consts, roots, signs, weights):
         super().__init__(consts, roots, signs, weights)
-        self.f0, self.g = sdp._flat(np.stack(coefficient_blocks(consts, roots, signs), axis=1))
+        self.f0, self.g = sdp._flat(coefficient_blocks(consts, roots, signs))
         self.g4 = self.g.reshape((len(self.g),) + self.f0.shape)
 
     values = sdp._Cone.values

@@ -186,21 +186,33 @@ class TestEllipseProgram:
         program = geometry.ellipse_program(pair)
         assert program.n == 5 + f
         assert set(vars(program)) == {"n", "blocks"}
-        assert {blk.shape[-1] for blk in program.blocks} == {1, 3}
+        assert [g.shape[-1] for g in program.blocks] == [1, 3]
+        v = len(pair.inner.vertices)
         rng = np.random.default_rng(3)
         for x in rng.standard_normal((5, program.n)):
-            values = program.block_values(x)
+            rows, facets = program.block_values(x)
             e = geometry._solution_to_ellipse(x)
             assert abs(np.trace(e.a_form) - 1.0) <= 1e-12
             # the leading 2x2 of every facet block is A itself
-            facets = [v for v in values if v.shape == (3, 3)]
-            assert len(facets) == f
-            for v in facets:
-                assert np.allclose(v[:2, :2], e.a_form, atol=1e-12)
-            # the vertex rows read -q(v) of the same Theta
-            verts = [v[0, 0] for v in values[:len(pair.inner.vertices)]]
-            assert np.allclose(verts, [-e.evaluate(v) for v in pair.inner.vertices],
+            assert facets.shape == (f, 3, 3)
+            assert np.allclose(facets[:, :2, :2], e.a_form, atol=1e-12)
+            forms = geometry._facet_forms(pair.outer.normals, pair.outer.offsets)
+            assert np.allclose(facets, e.theta - x[5:, None, None] * forms, atol=1e-12)
+            # the vertex rows read -q(v) of the same Theta, the sign rows lam
+            assert rows.shape == (v + f, 1, 1)
+            assert np.allclose(rows[:v, 0, 0], [-e.evaluate(p) for p in pair.inner.vertices],
                                atol=1e-12)
+            assert np.array_equal(rows[v:, 0, 0], x[5:])
+
+    def test_facet_forms_read_the_halfplanes(self):
+        # <F_j, (x, 1)(x, 1)^T> = g_j . x - h_j, facet by facet
+        rng = np.random.default_rng(8)
+        normals, offsets = rng.standard_normal((4, 2)), rng.standard_normal(4)
+        points = rng.standard_normal((6, 2))
+        forms = geometry._facet_forms(normals, offsets)
+        h = np.hstack([points, np.ones((6, 1))])
+        got = np.einsum("pa,jab,pb->pj", h, forms, h)
+        assert np.allclose(got, points @ normals.T - offsets, atol=1e-12)
 
     def test_origin_is_the_half_identity(self):
         pair = geometry.polytopes_from_matrix(families.circulant3(1.0, 1.3, 0.4))

@@ -9,70 +9,96 @@ from conftest import (StackedCongruenceCone, coefficient_blocks, damped_center,
                       nested_rectangles_pair, newton_direction)
 
 
-def sym(rng, s, scale=1.0):
-    a = rng.standard_normal((s, s)) * scale
-    return 0.5 * (a + a.T)
+def sym(rng, *shape):
+    """Random symmetric matrices, shape (.., s, s)."""
+    a = rng.standard_normal(shape)
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-def feasible_problem(rng, n, sizes):
-    """Plant a strictly feasible point with margin at least 1/2 per block."""
+def feasible_problem(rng, n, groups):
+    """Plant a strictly feasible point with margin at least 1/2 per block;
+    groups lists (s, B) for a group of B blocks of size s."""
     x0 = rng.standard_normal(n)
-    blocks = []
-    for s in sizes:
-        fs = [sym(rng, s) for _ in range(n)]
-        r = rng.standard_normal((s, s))
-        slack = r @ r.T + 0.5 * np.eye(s)
-        f0 = slack - sum(x * f for x, f in zip(x0, fs))
-        blocks.append([f0] + fs)
-    return SdpProblem(n, blocks), x0
+    out = []
+    for s, count in groups:
+        fs = sym(rng, n, count, s, s)
+        r = rng.standard_normal((count, s, s))
+        slack = r @ r.transpose(0, 2, 1) + 0.5 * np.eye(s)
+        out.append(np.concatenate([(slack - np.tensordot(x0, fs, axes=1))[None], fs]))
+    return SdpProblem(n, out), x0
 
 
 def infeasible_problem(rng, n, s):
     """Farkas pair: a scalar block forces <Z, second block> <= -1 < 0."""
-    z = sym(rng, s)
+    z = sym(rng, s, s)
     z = z @ z.T + 0.1 * np.eye(s)
-    gs = [sym(rng, s) for _ in range(n)]
-    f0 = sym(rng, s)
-    scalar = [np.array([[-float(np.tensordot(z, f0, axes=2)) - 1.0]])]
-    scalar += [np.array([[-float(np.tensordot(z, g, axes=2))]]) for g in gs]
-    return SdpProblem(n, [scalar, [f0] + gs])
+    coeffs = sym(rng, n + 1, 1, s, s)
+    scalar = -np.tensordot(coeffs, z, axes=2)
+    scalar[0] -= 1.0
+    return SdpProblem(n, [scalar[:, :, None, None], coeffs])
+
+
+def scalar_group(*coeffs):
+    """The 1x1 group whose coefficient i is coeffs[i], one entry per block."""
+    return np.array(coeffs, dtype=float)[:, :, None, None]
 
 
 class TestProblemValidation:
     def test_block_arity(self):
+        # a wrong leading length: two coefficient matrices for two variables
         with pytest.raises(InputError):
-            SdpProblem(2, [[np.eye(2), np.eye(2)]])
+            SdpProblem(2, [np.stack([np.eye(2), np.eye(2)])[:, None]])
 
     def test_asymmetric_coefficient(self):
         with pytest.raises(DomainError):
-            SdpProblem(1, [[np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])]])
+            SdpProblem(1, [np.stack([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]])[:, None]])
+
+    def test_one_asymmetric_block_in_a_group(self):
+        group = np.broadcast_to(np.eye(2), (2, 3, 2, 2)).copy()
+        group[1, 2, 0, 1] = 1.0
+        # coefficient 1 of block 2 is matrix 1 * 3 + 2 of the group
+        with pytest.raises(DomainError, match="block matrix 5 "):
+            SdpProblem(1, [group])
+
+    def test_ragged_group(self):
+        # coefficient matrices of two sizes in one group
+        with pytest.raises(InputError):
+            SdpProblem(1, [[np.eye(2)[None], np.eye(3)[None]]])
+        with pytest.raises(InputError):
+            SdpProblem(1, [[np.zeros((2, 2, 2)), np.zeros((2, 3, 3))]])
+
+    def test_group_needs_four_axes(self):
+        # a per-block (n+1, s, s) stack is not a group
+        with pytest.raises(InputError):
+            SdpProblem(1, [np.stack([np.eye(2), np.eye(2)])])
+        with pytest.raises(InputError):
+            SdpProblem(1, [np.zeros((2, 0, 2, 2))])
+
+    def test_non_square_blocks(self):
+        with pytest.raises(DomainError):
+            SdpProblem(1, [np.zeros((2, 1, 2, 3))])
 
     def test_no_blocks(self):
         with pytest.raises(InputError):
             SdpProblem(1, [])
 
     def test_margins_evaluates_section(self):
-        p = SdpProblem(1, [[np.zeros((2, 2)), np.eye(2)]])
-        assert np.allclose(p.margins([3.0]), [3.0])
+        # a 2x2 group x I, then the 1x1 group x + 1 and x - 1
+        p = SdpProblem(1, [np.stack([np.zeros((2, 2)), np.eye(2)])[:, None],
+                           scalar_group([1.0, -1.0], [1.0, 1.0])])
+        assert np.allclose(p.margins([3.0]), [3.0, 4.0, 2.0])
 
 
 class TestFeasibility:
     def test_margin_point_on_request(self):
-        blocks = [
-            [np.array([[1.0]]), np.array([[1.0]])],
-            [np.array([[3.0]]), np.array([[-1.0]])],
-        ]
-        sol = sdp.solve(SdpProblem(1, blocks))
+        # 1 + x >= 0 and 3 - x >= 0
+        sol = sdp.solve(SdpProblem(1, [scalar_group([1.0, 3.0], [1.0, -1.0])]))
         assert sol.status == "feasible"
         assert abs(sol.x[0] - 1.0) <= 1e-4
 
     def test_empty_interval_infeasible(self):
         # x >= 1 and x <= -1
-        blocks = [
-            [np.array([[-1.0]]), np.array([[1.0]])],
-            [np.array([[-1.0]]), np.array([[-1.0]])],
-        ]
-        sol = sdp.solve(SdpProblem(1, blocks))
+        sol = sdp.solve(SdpProblem(1, [scalar_group([-1.0, -1.0], [1.0, -1.0])]))
         assert sol.status == "infeasible"
         cert = sol.certificate
         assert cert["kind"] == "separating-dual"
@@ -82,7 +108,8 @@ class TestFeasibility:
     def test_random_feasible_batch(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            p, _ = feasible_problem(rng, 3, [2, 3])
+            # two 1x1 groups apart, both joined into the diagonal cone
+            p, _ = feasible_problem(rng, 3, [(1, 2), (2, 2), (1, 1), (3, 1)])
             sol = sdp.solve(p)
             assert sol.status == "feasible"
             assert sol.margin >= -1e-7
@@ -107,34 +134,36 @@ class TestFeasibility:
 
 
 class TestBarrierKernel:
-    """Grouped, flattened cones against a plain per-block reference."""
+    """One flattened cone per group against a plain per-block reference."""
 
-    SIZES = [3, 1, 2, 1, 3, 2, 1]
+    # (size, count) per group
+    GROUPS = [(1, 3), (2, 2), (3, 2)]
 
     def setup_method(self):
         rng = np.random.default_rng(23)
         self.n = 4
         # the planted point sits inside every block
-        problem, self.x_in = feasible_problem(rng, self.n, self.SIZES)
-        self.blocks = problem.blocks
-        self.weights = rng.uniform(0.5, 3.0, len(self.blocks))
-        self.cones = sdp._group_blocks(self.blocks, self.weights)
+        problem, self.x_in = feasible_problem(rng, self.n, self.GROUPS)
+        self.groups = problem.blocks
+        self.weights = [rng.uniform(0.5, 3.0, g.shape[1]) for g in self.groups]
+        self.cones = [sdp._cone(g, w) for g, w in zip(self.groups, self.weights)]
 
     def reference(self, x):
         """Per-block values, barrier, gradient and Hessian via inv and slogdet."""
         values, bar = [], 0.0
         grad, hess = np.zeros(self.n), np.zeros((self.n, self.n))
-        for blk, w in zip(self.blocks, self.weights):
-            f = blk[0] + np.tensordot(x, blk[1:], axes=1)
-            values.append(f)
-            if np.min(np.linalg.eigvalsh(f)) <= 0:
-                bar = np.inf
-                continue
-            _, logdet = np.linalg.slogdet(f)
-            fi_g = [np.linalg.inv(f) @ g for g in blk[1:]]
-            bar -= w * logdet
-            grad -= w * np.array([np.trace(a) for a in fi_g])
-            hess += w * np.array([[np.trace(a @ b) for b in fi_g] for a in fi_g])
+        for group, weights in zip(self.groups, self.weights):
+            for blk, w in zip(group.transpose(1, 0, 2, 3), weights):
+                f = blk[0] + np.tensordot(x, blk[1:], axes=1)
+                values.append(f)
+                if np.min(np.linalg.eigvalsh(f)) <= 0:
+                    bar = np.inf
+                    continue
+                _, logdet = np.linalg.slogdet(f)
+                fi_g = [np.linalg.inv(f) @ g for g in blk[1:]]
+                bar -= w * logdet
+                grad -= w * np.array([np.trace(a) for a in fi_g])
+                hess += w * np.array([[np.trace(a @ b) for b in fi_g] for a in fi_g])
         return values, bar, grad, hess
 
     def test_cones_group_by_size(self):
@@ -144,10 +173,9 @@ class TestBarrierKernel:
         x = self.x_in
         ref_values, ref_bar, ref_grad, ref_hess = self.reference(x)
         assert np.isfinite(ref_bar)
-        for cone, s in zip(self.cones, (1, 2, 3)):
-            ref = np.array([v for v in ref_values if v.shape[0] == s])
-            got = cone.values(x).reshape(ref.shape)
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        ref = np.concatenate([v.reshape(-1) for v in ref_values])
+        got = np.concatenate([cone.values(x).reshape(-1) for cone in self.cones])
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         facs = [cone.factor(x) for cone in self.cones]
         bar = sum(fac[0] for fac in facs)
         grad = sum(cone.grad_hess(fac)[0] for cone, fac in zip(self.cones, facs))
@@ -204,7 +232,7 @@ class TestCongruenceCone:
         signs = np.r_[1.0, rng.choice([-1.0, 1.0], n)]
         weights = rng.uniform(0.5, 3.0, n + 1)
         new = sdp._CongruenceCone(consts, roots, signs, weights)
-        [ref] = sdp._group_blocks(coefficient_blocks(consts, roots, signs), weights)
+        ref = sdp._cone(coefficient_blocks(consts, roots, signs), weights)
         for _ in range(3):
             # eigenvalues of X in [0.1, 0.5] keep every block positive definite
             q, _ = np.linalg.qr(rng.standard_normal((d, d)))
@@ -266,18 +294,19 @@ class TestLineMin:
         if bounded:
             # a Newton direction of a far-off potential: some block leaves
             # the cone at a finite a_max
-            problem, x = feasible_problem(rng, n, [3, 1, 2, 1, 2])
-            cones = sdp._group_blocks(problem.blocks)
+            problem, x = feasible_problem(rng, n, [(1, 2), (2, 2), (3, 1)])
+            cones = [sdp._cone(g) for g in problem.blocks]
             c_lin = 30.0 * rng.standard_normal(n)
             dx = newton_direction(cones, c_lin, x)[0]
         else:
             # every block is S_b + x_0 I + ...: along e_0 every block grows
-            blocks = []
-            for s in (3, 1, 2, 1, 2):
-                r = rng.standard_normal((s, s))
-                blocks.append(np.stack([r @ r.T + 0.5 * np.eye(s), np.eye(s)]
-                                       + [sym(rng, s) for _ in range(n - 1)]))
-            cones = sdp._group_blocks(blocks)
+            cones = []
+            for s, count in ((1, 2), (2, 2), (3, 1)):
+                r = rng.standard_normal((count, s, s))
+                cones.append(sdp._cone(np.concatenate([
+                    (r @ r.transpose(0, 2, 1) + 0.5 * np.eye(s))[None],
+                    np.broadcast_to(np.eye(s), (1, count, s, s)),
+                    sym(rng, n - 1, count, s, s)])))
             x, dx = np.zeros(n), np.eye(n)[0]
             c_lin = np.zeros(n)
         facs = sdp._factor(cones, c_lin, x)[1]
@@ -328,9 +357,9 @@ class TestCentering:
         # steep linear term
         rng = np.random.default_rng(29)
         n = 4
-        problem, x0 = feasible_problem(rng, n, TestBarrierKernel.SIZES)
-        blocks = problem.blocks + sdp._box_blocks(n, n, 10.0)
-        cones = sdp._group_blocks(blocks, rng.uniform(0.5, 3.0, len(blocks)))
+        problem, x0 = feasible_problem(rng, n, TestBarrierKernel.GROUPS)
+        groups = problem.blocks + [sdp._box_blocks(n, n, 10.0)]
+        cones = [sdp._cone(g, rng.uniform(0.5, 3.0, g.shape[1])) for g in groups]
         return cones, 20.0 * rng.standard_normal(n), x0
 
     @pytest.mark.parametrize("kind", ["blocks", "congruence"])
