@@ -570,9 +570,9 @@ def psd_rank_interval(m, opts: BoundOptions | None = None) -> RankInterval:
     up, up_cert = psd_rank_upper(block, replace(opts, use_sqrt=False))
     certs = [lo_cert, {**up_cert, **kept}]
 
+    # rank <= 2 is exact; the cheap upper bound already carries that certificate
     r = linalg.numerical_rank(block, opts.tol)
     if r <= 2:
-        certs.append({"kind": "rank-bound", "argument": "rank <= 2 is exact", "value": int(r)})
         return RankInterval(int(r), int(r), tuple(certs))
 
     if r == 3 and lo < min(up, 3):

@@ -20,30 +20,23 @@ from .linalg import DEFAULT_TOL
 
 @dataclass(frozen=True)
 class SymmetricGram:
-    """One list of psd factors used on both sides: M_ij = <A_i, A_j>."""
+    """One list of psd factors used on both sides: M_ij = <A_i, A_j>, held
+    as one (n, k, k) stack."""
 
-    factors: tuple
+    factors: np.ndarray
 
     def __init__(self, factors, tol: float = DEFAULT_TOL):
-        mats = tuple(linalg.check_symmetric(a, tol) for a in factors)
-        if not mats:
-            raise InputError("need at least one factor")
-        k = mats[0].shape[0]
-        if any(a.shape[0] != k for a in mats):
-            raise InputError("factors must share one size")
-        linalg.check_psd_stack(mats, tol, "factor")
-        object.__setattr__(self, "factors", mats)
+        object.__setattr__(self, "factors", linalg.check_psd_stack(factors, tol, "factor"))
 
     @property
     def k(self) -> int:
-        return self.factors[0].shape[0]
+        return self.factors.shape[1]
 
     def __len__(self):
         return len(self.factors)
 
     def matrix(self) -> np.ndarray:
-        stack = np.array(self.factors)
-        return np.einsum("aij,bij->ab", stack, stack)
+        return np.einsum("aij,bij->ab", self.factors, self.factors)
 
 
 def verify_cpsd(m, g: SymmetricGram, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -53,7 +46,7 @@ def verify_cpsd(m, g: SymmetricGram, tol: float = DEFAULT_TOL) -> VerificationRe
         raise InputError("completely psd matrices are square")
     if np.max(np.abs(mm - mm.T)) > tol * linalg.scale_of(mm):
         raise InputError("matrix must be symmetric")
-    f = make_factorization(list(g.factors), list(g.factors))
+    f = make_factorization(g.factors, g.factors)
     return verify(mm, f, tol=tol)
 
 

@@ -17,17 +17,27 @@ from .linalg import DEFAULT_TOL, rank_to_min_size
 
 @dataclass(frozen=True)
 class PsdFactorization:
+    """Row factors A_1..A_p and column factors B_1..B_q as (p, k, k) and
+    (q, k, k) stacks of float64 or complex128, always complex128 for the
+    field "hermitian". The constructor stacks any sequences of equal-size
+    matrices, an empty one as a (0, k, k) stack, and checks nothing;
+    make_factorization checks."""
+
     field: str
-    row_factors: tuple
-    col_factors: tuple
+    row_factors: np.ndarray
+    col_factors: np.ndarray
+
+    def __post_init__(self):
+        sides = {name: np.asarray(getattr(self, name)) for name in ("row_factors", "col_factors")}
+        k = max(a.shape[-1] for a in sides.values())
+        dtype = (np.complex128 if self.field == "hermitian"
+                 else np.result_type(np.float64, *sides.values()))
+        for name, a in sides.items():
+            object.__setattr__(self, name, a.astype(dtype, copy=False).reshape(len(a), k, k))
 
     @property
     def k(self) -> int:
-        if self.row_factors:
-            return self.row_factors[0].shape[0]
-        if self.col_factors:
-            return self.col_factors[0].shape[0]
-        return 0
+        return self.row_factors.shape[1]
 
     @property
     def shape(self) -> tuple:
@@ -39,12 +49,7 @@ class PsdFactorization:
 
     def _traces(self) -> np.ndarray:
         """trace(A_i B_j), complex for Hermitian factors; verify reads both parts."""
-        p, q = self.shape
-        if p == 0 or q == 0 or self.k == 0:
-            return np.zeros((p, q))
-        a = np.stack(self.row_factors)
-        b = np.stack(self.col_factors)
-        return np.einsum("aij,bij->ab", a, b.conj())
+        return np.einsum("aij,bij->ab", self.row_factors, self.col_factors.conj())
 
 
 @dataclass(frozen=True)
@@ -67,22 +72,22 @@ class VerificationReport:
 
 
 def make_factorization(row_factors, col_factors, field: str | None = None) -> PsdFactorization:
-    """Assemble and sanity-check a factorization from factor lists."""
-    rows = tuple(linalg.check_symmetric(a, name="row factor") for a in row_factors)
-    cols = tuple(linalg.check_symmetric(b, name="column factor") for b in col_factors)
-    sizes = {m.shape[0] for m in rows + cols}
+    """Assemble and sanity-check a factorization from two lists (or stacks) of
+    equal-size matrices, with one check_symmetric call per list."""
+    rows = linalg.check_symmetric(row_factors, name="row factor")
+    cols = linalg.check_symmetric(col_factors, name="column factor")
+    if rows.ndim != 3 or cols.ndim != 3:
+        raise InputError("factors must come as lists of matrices")
+    sizes = {a.shape[1] for a in (rows, cols) if len(a)}
     if len(sizes) > 1:
         raise InputError(f"factor sizes differ: {sorted(sizes)}")
+    is_complex = np.iscomplexobj(rows) or np.iscomplexobj(cols)
     if field is None:
-        field = "hermitian" if any(np.iscomplexobj(m) for m in rows + cols) else "real"
+        field = "hermitian" if is_complex else "real"
     if field not in ("real", "hermitian"):
         raise InputError(f"unknown field tag '{field}'")
-    if field == "real":
-        if any(np.iscomplexobj(m) for m in rows + cols):
-            raise InputError("real factorization contains complex factors")
-    else:
-        rows = tuple(m.astype(np.complex128) for m in rows)
-        cols = tuple(m.astype(np.complex128) for m in cols)
+    if field == "real" and is_complex:
+        raise InputError("real factorization contains complex factors")
     return PsdFactorization(field, rows, cols)
 
 
@@ -103,34 +108,28 @@ def verify(m, f: PsdFactorization, tol: float = DEFAULT_TOL) -> VerificationRepo
         return VerificationReport(0.0, 0.0, 0.0, 0.0, True)
 
     traces = f._traces()
-    imag = float(np.max(np.abs(traces.imag))) if f.field == "hermitian" and f.k else 0.0
-    max_residual = float(np.max(np.abs(traces.real - mm.real) if f.k else np.abs(mm)))
+    imag = float(np.max(np.abs(traces.imag)))
+    max_residual = float(np.max(np.abs(traces.real - mm.real)))
     if np.iscomplexobj(mm) and np.max(np.abs(mm.imag)) > tol * scale_m:
         raise InputError("matrix to verify has complex entries")
 
-    stack = np.stack(f.row_factors + f.col_factors)
+    stack = np.concatenate([f.row_factors, f.col_factors])
     lmin, lmax = linalg.eig_extremes(stack, name="factor")
     max_viol = max(0.0, -float(lmin.min()))
     fac_scale = linalg.scale_of(stack)
-    lmax_rows, lmax_cols = lmax[:p], lmax[p:]
-    max_defect = 0.0
-    orth_bound = 0.0
-    orth_ok = True
-    zero_rows, zero_cols = np.nonzero(mm.real <= tol * scale_m)
-    for i, j in zip(zero_rows, zero_cols):
-        defect = linalg.orth_defect(f.row_factors[i], f.col_factors[j])
-        eps = max(float(mm.real[i, j]), 0.0) + tol * scale_m
-        bound = 2.0 * np.sqrt(eps * max(lmax_rows[i], tol) * max(lmax_cols[j], tol)) + tol
-        max_defect = max(max_defect, defect)
-        orth_bound = max(orth_bound, bound)
-        if defect > bound:
-            orth_ok = False
+    zr, zc = np.nonzero(mm.real <= tol * scale_m)
+    defects = linalg.orth_defect(f.row_factors[zr], f.col_factors[zc])
+    eps = np.maximum(mm.real[zr, zc], 0.0) + tol * scale_m
+    lmax_rows, lmax_cols = np.maximum(lmax[:p][zr], tol), np.maximum(lmax[p:][zc], tol)
+    bounds = 2.0 * np.sqrt(eps * lmax_rows * lmax_cols) + tol
+    max_defect = float(defects.max(initial=0.0))
+    orth_bound = float(bounds.max(initial=0.0))
 
     passed = (
         max_residual <= tol * scale_m
         and max_viol <= tol * fac_scale
         and imag <= tol * fac_scale * max(1, f.k)
-        and orth_ok
+        and bool(np.all(defects <= bounds))
     )
     return VerificationReport(max_residual, max_viol, max_defect, orth_bound, passed, imag)
 
@@ -147,18 +146,20 @@ def from_nonneg_factorization(a_vecs, b_vecs) -> PsdFactorization:
         raise InputError("vector lengths differ between the two sides")
     if np.min(aa, initial=0.0) < 0 or np.min(bb, initial=0.0) < 0:
         raise InputError("vectors must be nonnegative")
-    rows = [np.diag(a) for a in aa]
-    cols = [np.diag(b) for b in bb]
-    return make_factorization(rows, cols, "real")
+    eye = np.eye(aa.shape[1])
+    return make_factorization(aa[:, :, None] * eye, bb[:, :, None] * eye, "real")
 
 
 def from_hadamard_sqrt(n, tol: float = DEFAULT_TOL) -> PsdFactorization:
     """Rank-one factorization of n∘n from a rank factorization of n."""
     nn = linalg.as_matrix(n, "sqrt matrix")
     u, v = linalg.rank_factorization(nn, tol)
-    rows = [np.outer(u[i, :], u[i, :]) for i in range(nn.shape[0])]
-    cols = [np.outer(v[:, j], v[:, j]) for j in range(nn.shape[1])]
-    return make_factorization(rows, cols, "real")
+    return make_factorization(_outers(u), _outers(v.T), "real")
+
+
+def _outers(vecs):
+    """The rank-one forms v v^* of the rows of vecs, as a stack."""
+    return vecs[:, :, None] * vecs[:, None, :].conj()
 
 
 def direct_sum(f: PsdFactorization, g: PsdFactorization) -> PsdFactorization:
@@ -169,12 +170,10 @@ def direct_sum(f: PsdFactorization, g: PsdFactorization) -> PsdFactorization:
         return g
     field = _require_same_field(f, g)
     zf, zg = np.zeros((f.k, f.k)), np.zeros((g.k, g.k))
-    rows = ([linalg.block_diag(a, zg) for a in f.row_factors]
-            + [linalg.block_diag(zf, a) for a in g.row_factors])
-    cols = ([linalg.block_diag(b, zg) for b in f.col_factors]
-            + [linalg.block_diag(zf, b) for b in g.col_factors])
-    if f.k + g.k == 0:
-        return PsdFactorization(field, tuple(rows), tuple(cols))
+    rows = np.concatenate([linalg.block_diag(f.row_factors, zg),
+                           linalg.block_diag(zf, g.row_factors)])
+    cols = np.concatenate([linalg.block_diag(f.col_factors, zg),
+                           linalg.block_diag(zf, g.col_factors)])
     return make_factorization(rows, cols, field)
 
 
@@ -183,9 +182,8 @@ def add(f: PsdFactorization, g: PsdFactorization) -> PsdFactorization:
     if f.shape != g.shape:
         raise InputError(f"shapes differ: {f.shape} vs {g.shape}")
     field = _require_same_field(f, g)
-    rows = [linalg.block_diag(a, b) for a, b in zip(f.row_factors, g.row_factors)]
-    cols = [linalg.block_diag(a, b) for a, b in zip(f.col_factors, g.col_factors)]
-    return make_factorization(rows, cols, field)
+    return make_factorization(linalg.block_diag(f.row_factors, g.row_factors),
+                              linalg.block_diag(f.col_factors, g.col_factors), field)
 
 
 def compose_right(f: PsdFactorization, n) -> PsdFactorization:
@@ -196,21 +194,20 @@ def compose_right(f: PsdFactorization, n) -> PsdFactorization:
     q = len(f.col_factors)
     if nn.shape[0] != q:
         raise InputError(f"composition matrix needs {q} rows, got {nn.shape[0]}")
-    cols = []
-    for j in range(nn.shape[1]):
-        c = np.zeros((f.k, f.k), dtype=complex if f.field == "hermitian" else float)
-        for t in range(q):
-            c = c + nn[t, j] * f.col_factors[t]
-        cols.append(c)
-    return make_factorization(f.row_factors, cols, f.field)
+    return make_factorization(f.row_factors, np.einsum("tj,tuv->juv", nn, f.col_factors), f.field)
 
 
 def kron_factorization(f: PsdFactorization, g: PsdFactorization) -> PsdFactorization:
     """Factorization of kron(M, N) via Kronecker products of factors."""
     field = _require_same_field(f, g)
-    rows = [np.kron(a, b) for a in f.row_factors for b in g.row_factors]
-    cols = [np.kron(a, b) for a in f.col_factors for b in g.col_factors]
-    return make_factorization(rows, cols, field)
+
+    def kron(a, b):
+        # np.kron of every pair, pairs in row-major order of (index in a, index in b)
+        k = a.shape[1] * b.shape[1]
+        return np.einsum("sij,tuv->stiujv", a, b).reshape(len(a) * len(b), k, k)
+
+    return make_factorization(kron(f.row_factors, g.row_factors),
+                              kron(f.col_factors, g.col_factors), field)
 
 
 def hermitian_embed(f: PsdFactorization) -> PsdFactorization:
@@ -222,9 +219,7 @@ def hermitian_embed(f: PsdFactorization) -> PsdFactorization:
         re, im = a.real, a.imag
         return np.block([[re, im], [-im, re]]) / np.sqrt(2.0)
 
-    rows = [embed(a) for a in f.row_factors]
-    cols = [embed(b) for b in f.col_factors]
-    return make_factorization(rows, cols, "real")
+    return make_factorization(embed(f.row_factors), embed(f.col_factors), "real")
 
 
 # ---------------------------------------------------------------------------
@@ -248,23 +243,19 @@ def rescale_trace(f: PsdFactorization, m=None, tol: float = DEFAULT_TOL) -> PsdF
         m_scale = linalg.scale_of(mm)
     f, restore = compress_to_common_span(f, tol, rows_only=True)
     k = f.k
-    s = sum(f.row_factors)
+    s = f.row_factors.sum(axis=0)
     roots = linalg.psd_roots(s, tol)
     if roots.rank < k:
         raise DomainError("row factors sum to a singular matrix after compression")
-    rows = [linalg.sym(roots.inv_sqrt @ a @ roots.inv_sqrt) for a in f.row_factors]
-    cols = []
-    for j, b in enumerate(f.col_factors):
-        if col_sums is not None:
-            zero_col = col_sums[j] <= tol * m_scale * len(rows)
-        else:
-            colsum = linalg.pair_value(s, b)
-            zero_col = abs(colsum) <= tol * linalg.scale_of(s) * linalg.scale_of(b) * k
-        if zero_col:
-            cols.append(np.zeros_like(b))
-        else:
-            cols.append(linalg.sym(roots.sqrt @ b @ roots.sqrt))
-    return restore(PsdFactorization(f.field, tuple(rows), tuple(cols)))
+    rows = linalg.sym(roots.inv_sqrt @ f.row_factors @ roots.inv_sqrt)
+    if col_sums is not None:
+        zero_col = col_sums <= tol * m_scale * len(rows)
+    else:
+        colsum = linalg.pair_value(s, f.col_factors)
+        zero_col = np.abs(colsum) <= tol * linalg.scale_of(s) * linalg.scales_of(f.col_factors) * k
+    cols = linalg.sym(roots.sqrt @ f.col_factors @ roots.sqrt)
+    cols = np.where(zero_col[:, None, None], 0.0, cols)
+    return restore(PsdFactorization(f.field, rows, cols))
 
 
 def rescale_john(f: PsdFactorization, m=None, tol: float = DEFAULT_TOL) -> PsdFactorization:
@@ -288,16 +279,16 @@ def rescale_john(f: PsdFactorization, m=None, tol: float = DEFAULT_TOL) -> PsdFa
         raise DomainError("matrix is numerically zero; eigenvalue bound is unattainable")
     f, restore = compress_to_common_span(f, tol)
 
-    shape = sdp.min_volume_shape([np.asarray(a, dtype=float) for a in f.row_factors])
+    shape = sdp.min_volume_shape(f.row_factors)
     # P is positive definite and scales like 1 / max entry of the factors,
     # so no eigenvalue cutoff applies to it
     roots = linalg.psd_roots(shape.p, tol=0.0)
     c = f.k ** 0.25 * max_m ** 0.25
     left = c * roots.sqrt
     left_inv = roots.inv_sqrt / c
-    rows = [linalg.sym(left @ a @ left.T) for a in f.row_factors]
-    cols = [linalg.sym(left_inv.T @ b @ left_inv) for b in f.col_factors]
-    return restore(PsdFactorization("real", tuple(rows), tuple(cols)))
+    rows = linalg.sym(left @ f.row_factors @ left.T)
+    cols = linalg.sym(left_inv.T @ f.col_factors @ left_inv)
+    return restore(PsdFactorization("real", rows, cols))
 
 
 def compress_to_common_span(f: PsdFactorization, tol: float, rows_only: bool = False):
@@ -308,26 +299,26 @@ def compress_to_common_span(f: PsdFactorization, tol: float, rows_only: bool = F
     above the psd cutoff tol * (1 + max |entry|); an empty range raises
     DomainError, since every factor on that side then vanishes.
     """
-    rows, cols, k = f.row_factors, f.col_factors, f.k
+    rows, cols = f.row_factors, f.col_factors
     span = None
     for side in (0,) if rows_only else (0, 1):
-        s = linalg.sym(sum((rows, cols)[side], np.zeros((k, k))))
+        s = linalg.sym((rows, cols)[side].sum(axis=0))
         w, v = np.linalg.eigh(s)
         keep = w > tol * linalg.scale_of(s)
         if not keep.any():
             raise DomainError("all factors on one side vanish")
         if keep.all():
             continue
-        basis, k = v[:, keep], int(keep.sum())
-        rows = tuple(linalg.sym(basis.conj().T @ a @ basis) for a in rows)
-        cols = tuple(linalg.sym(basis.conj().T @ b @ basis) for b in cols)
+        basis = v[:, keep]
+        rows = linalg.sym(basis.conj().T @ rows @ basis)
+        cols = linalg.sym(basis.conj().T @ cols @ basis)
         span = basis if span is None else span @ basis
     if span is None:
         return f, lambda g: g
 
     def restore(g: PsdFactorization) -> PsdFactorization:
         def back(mats):
-            return tuple(linalg.sym(span @ a @ span.conj().T) for a in mats)
+            return linalg.sym(span @ mats @ span.conj().T)
         return PsdFactorization(g.field, back(g.row_factors), back(g.col_factors))
 
     return PsdFactorization(f.field, rows, cols), restore
@@ -355,23 +346,19 @@ def rank1_expand(f: PsdFactorization, tol: float = DEFAULT_TOL) -> Rank1Expansio
     k = f.k
     p, q = f.shape
 
-    def spectral_vectors(g):
-        w, v = np.linalg.eigh(g)
-        w = np.clip(w, 0.0, None)
-        return (v * np.sqrt(w)).T  # k vectors as rows
+    def spectral_vectors(stack):
+        # the k vectors of each factor as the rows of a (n, k, k) stack
+        w, v = np.linalg.eigh(stack)
+        return np.swapaxes(v * np.sqrt(np.clip(w, 0.0, None))[:, None, :], 1, 2)
 
-    row_vecs = [spectral_vectors(a) for a in f.row_factors]
-    col_vecs = [spectral_vectors(b) for b in f.col_factors]
-    dtype = complex if f.field == "hermitian" else float
-    witness = np.zeros((p * k, q * k), dtype=dtype)
-    for i in range(p):
-        for j in range(q):
-            g = row_vecs[i].conj() @ col_vecs[j].T
-            witness[i * k : (i + 1) * k, j * k : (j + 1) * k] = g
-    n = np.abs(witness) ** 2 if dtype is complex else witness**2
-    rows = [np.outer(v, v.conj()) for vecs in row_vecs for v in vecs]
-    cols = [np.outer(v, v.conj()) for vecs in col_vecs for v in vecs]
-    expansion = make_factorization(rows, cols, f.field)
+    row_vecs = spectral_vectors(f.row_factors)
+    col_vecs = spectral_vectors(f.col_factors)
+    # block (i, j) is row_vecs[i]^* col_vecs[j]^T
+    blocks = row_vecs.conj()[:, None] @ np.swapaxes(col_vecs, 1, 2)[None]
+    witness = blocks.transpose(0, 2, 1, 3).reshape(p * k, q * k)
+    n = np.abs(witness) ** 2 if np.iscomplexobj(witness) else witness**2
+    expansion = make_factorization(_outers(row_vecs.reshape(p * k, k)),
+                                   _outers(col_vecs.reshape(q * k, k)), f.field)
     return Rank1Expansion(n, expansion, witness)
 
 
@@ -439,8 +426,7 @@ def scale_rows(f: PsdFactorization, scales) -> PsdFactorization:
         raise InputError("need one nonnegative scale per row")
     if np.any(s < 0):
         raise InputError("row scales must be nonnegative")
-    rows = [si * a for si, a in zip(s, f.row_factors)]
-    return PsdFactorization(f.field, tuple(rows), f.col_factors)
+    return PsdFactorization(f.field, s[:, None, None] * f.row_factors, f.col_factors)
 
 
 def scale_cols(f: PsdFactorization, scales) -> PsdFactorization:
@@ -450,8 +436,7 @@ def scale_cols(f: PsdFactorization, scales) -> PsdFactorization:
         raise InputError("need one nonnegative scale per column")
     if np.any(s < 0):
         raise InputError("column scales must be nonnegative")
-    cols = [sj * b for sj, b in zip(s, f.col_factors)]
-    return PsdFactorization(f.field, f.row_factors, tuple(cols))
+    return PsdFactorization(f.field, f.row_factors, s[:, None, None] * f.col_factors)
 
 
 def transpose(f: PsdFactorization) -> PsdFactorization:

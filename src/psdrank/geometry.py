@@ -360,12 +360,11 @@ def _psd_section_maps(e: Ellipse):
     return fwd
 
 
-def _section_inv(w):
-    return np.array([[(w[0] + w[1]) / 2.0, w[2] / 2.0], [w[2] / 2.0, (w[0] - w[1]) / 2.0]])
-
-
-def _section_adjoint(y):
-    return np.array([[y[0] + y[1], y[2]], [y[2], y[0] - y[1]]])
+def _sections(w):
+    """[[w0 + w1, w2], [w2, w0 - w1]] for every row w of a (B, 3) array: the
+    adjoint of the section map, and twice its inverse."""
+    w0, w1, w2 = w.T
+    return np.stack([w0 + w1, w2, w2, w0 - w1], axis=-1).reshape(-1, 2, 2)
 
 
 def factorization_from_ellipse(m, pair: SandwichPair, e: Ellipse,
@@ -395,13 +394,8 @@ def factorization_from_ellipse(m, pair: SandwichPair, e: Ellipse,
     fwd = _psd_section_maps(e)
     inv = np.linalg.inv(fwd)
 
-    rows = []
-    for x, r in zip(pair.inner.vertices, ratios):
-        w = inv @ np.append(x, 1.0)
-        rows.append(r * _section_inv(w))
-    cols = []
-    for g, h in zip(pair.outer.normals, pair.outer.offsets):
-        y = fwd.T @ np.concatenate([-g, [h]])
-        cols.append(_section_adjoint(y))
-    return make_factorization(rows, cols, "real")
+    vertices = pair.inner.vertices
+    w = np.column_stack([vertices, np.ones(len(vertices))]) @ inv.T
+    y = np.column_stack([-pair.outer.normals, pair.outer.offsets]) @ fwd
+    return make_factorization(ratios[:, None, None] * (_sections(w) / 2.0), _sections(y), "real")
 

@@ -67,22 +67,43 @@ def scale_of(m) -> float:
 
 
 def scales_of(stack) -> np.ndarray:
-    """scale_of for every matrix of a (B, p, q) stack."""
-    return 1.0 + np.abs(np.asarray(stack)).max(axis=(1, 2), initial=0.0)
+    """scale_of of a matrix, or of every matrix in a (B, p, q) stack."""
+    return 1.0 + np.abs(np.asarray(stack)).max(axis=(-2, -1), initial=0.0)
 
 
 def sym(m: np.ndarray) -> np.ndarray:
-    """Symmetric (Hermitian) part of a square matrix."""
-    return 0.5 * (m + m.conj().T)
+    """Symmetric (Hermitian) part of a square matrix, or of every matrix in a
+    (B, k, k) stack."""
+    return 0.5 * (m + np.swapaxes(m, -1, -2).conj())
 
 
 def check_symmetric(m, tol: float = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
-    a = as_matrix(m, name)
-    if a.shape[0] != a.shape[1]:
-        raise DomainError(f"{name} must be square, got shape {a.shape}")
-    if a.size and float(np.max(np.abs(a - a.conj().T))) > 10 * tol * scale_of(a):
-        raise DomainError(f"{name} is not symmetric/Hermitian within tolerance")
-    return sym(a)
+    """Symmetric (Hermitian) part of a k x k matrix, or of every matrix in a
+    (B, k, k) stack such as a list of equal-size matrices (an empty list is a
+    (0, 0, 0) stack), after checking that it is finite and square and that no
+    matrix departs from its transpose by more than 10 tol (1 + max |entry|).
+    For a stack the error names the first bad index."""
+    try:
+        a = np.asarray(m)
+    except ValueError:
+        raise InputError(f"{name}s must be matrices of one shape") from None
+    if a.ndim == 1 and a.size == 0:
+        a = a.reshape(0, 0, 0)
+    if a.ndim not in (2, 3):
+        raise InputError(f"{name} must be a matrix or a stack of matrices, got shape {a.shape}")
+    if not np.iscomplexobj(a):
+        a = a.astype(np.float64, copy=False)
+    if not np.all(np.isfinite(a)):
+        raise InputError(f"{name} contains NaN or Inf entries")
+    if a.shape[-1] != a.shape[-2]:
+        raise DomainError(f"{name} must be square, got shape {a.shape[-2:]}")
+    trans = np.swapaxes(a, -1, -2).conj()
+    asym = np.abs(a - trans).max(axis=(-2, -1), initial=0.0)
+    bad = np.flatnonzero(asym > 10 * tol * scales_of(a))
+    if bad.size:
+        which = f"{name} {bad[0]}" if a.ndim == 3 else name
+        raise DomainError(f"{which} is not symmetric/Hermitian within tolerance")
+    return 0.5 * (a + trans)
 
 
 def numerical_rank(m, tol: float = DEFAULT_TOL) -> int:
@@ -103,51 +124,37 @@ def rank_to_min_size(r: int) -> int:
 
 
 def min_eig(m) -> float:
-    a = check_symmetric(m)
+    a = check_symmetric(as_matrix(m))
     if a.size == 0:
         return 0.0
     return float(np.linalg.eigvalsh(a)[0])
 
 
-def sym_stack(stack, name: str = "matrix") -> np.ndarray:
-    """Symmetric (Hermitian) part of every matrix in a (B, k, k) stack, after
-    the check_symmetric tolerance per matrix; the error names the first bad
-    index."""
-    a = np.asarray(stack)
-    if a.ndim != 3:
-        raise InputError(f"{name} stack must be 3-dimensional, got shape {a.shape}")
-    if not np.iscomplexobj(a):
-        a = a.astype(np.float64, copy=False)
-    if not np.all(np.isfinite(a)):
-        raise InputError(f"{name} contains NaN or Inf entries")
-    if a.shape[1] != a.shape[2]:
-        raise DomainError(f"{name} must be square, got shape {a.shape[1:]}")
-    trans = a.conj().transpose(0, 2, 1)
-    asym = np.abs(a - trans).max(axis=(1, 2), initial=0.0)
-    bad = np.nonzero(asym > 10 * DEFAULT_TOL * scales_of(a))[0]
-    if bad.size:
-        raise DomainError(f"{name} {bad[0]} is not symmetric/Hermitian within tolerance")
-    return 0.5 * (a + trans)
-
-
 def eig_extremes(stack, name: str = "matrix"):
     """(smallest, largest) eigenvalue of every matrix in a (B, k, k) stack,
-    from one eigvalsh call after sym_stack; empty matrices read 0.0."""
-    a = sym_stack(stack, name)
+    from one eigvalsh call after check_symmetric; empty matrices read 0.0."""
+    a = check_symmetric(stack, name=name)
+    if a.ndim != 3:
+        raise InputError(f"{name} stack must be 3-dimensional, got shape {a.shape}")
     if a.shape[1] == 0:
         return np.zeros(len(a)), np.zeros(len(a))
     w = np.linalg.eigvalsh(a)
     return w[:, 0], w[:, -1]
 
 
-def check_psd_stack(mats, tol: float = DEFAULT_TOL, name: str = "matrix") -> None:
-    """Psd test, min eigenvalue >= -tol * (1 + max |entry|), over a list of
-    equal-size symmetric matrices by one eig_extremes call; the InputError
-    names the first that fails."""
-    stack = np.stack(mats)
-    bad = np.nonzero(eig_extremes(stack, name)[0] < -tol * scales_of(stack))[0]
-    if bad.size:
-        raise InputError(f"{name} {bad[0]} is not psd")
+def check_psd_stack(mats, tol: float = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
+    """The symmetric (B, k, k) stack of a nonempty list of equal-size psd
+    matrices, checked by one check_symmetric and one eigvalsh call; psd means
+    min eigenvalue >= -tol * (1 + max |entry|), and the InputError names the
+    first matrix that fails."""
+    a = check_symmetric(mats, tol, name)
+    if a.ndim != 3 or len(a) == 0:
+        raise InputError(f"need a nonempty list of {name}s, got shape {a.shape}")
+    if a.shape[1]:
+        bad = np.flatnonzero(np.linalg.eigvalsh(a)[:, 0] < -tol * scales_of(a))
+        if bad.size:
+            raise InputError(f"{name} {bad[0]} is not psd")
+    return a
 
 
 def vecm(m) -> np.ndarray:
@@ -156,7 +163,7 @@ def vecm(m) -> np.ndarray:
     Ordering: the k diagonal entries first, then the strict upper triangle
     row by row scaled by sqrt(2), so that <vecm(X), vecm(Y)> = trace(X Y).
     """
-    a = check_symmetric(m)
+    a = check_symmetric(as_matrix(m))
     k = a.shape[0]
     iu = np.triu_indices(k, 1)
     return np.concatenate([np.diagonal(a), np.sqrt(2.0) * a[iu]])
@@ -176,7 +183,7 @@ def psd_roots(m, tol: float = DEFAULT_TOL) -> PsdRoots:
     Eigenvalues below the psd-test cutoff tol * (1 + max |entry|) are treated
     as zero; a genuinely negative spectrum raises DomainError.
     """
-    a = check_symmetric(m)
+    a = check_symmetric(as_matrix(m))
     cutoff = tol * scale_of(a)
     w, v = np.linalg.eigh(a)
     if a.size and w[0] < -cutoff:
@@ -194,28 +201,33 @@ def psd_roots(m, tol: float = DEFAULT_TOL) -> PsdRoots:
 
 
 def block_diag(*mats) -> np.ndarray:
-    """Block-diagonal matrix of the given 2-d blocks, in order; the dtype is
-    the common result type of the blocks."""
-    out = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)),
+    """Block-diagonal matrix of the given blocks, in order; for (B, r, c)
+    stacks, one per index, with 2-d blocks broadcast over the stack. The
+    dtype is the common result type of the blocks."""
+    lead = np.broadcast_shapes(*(m.shape[:-2] for m in mats))
+    out = np.zeros(lead + (sum(m.shape[-2] for m in mats), sum(m.shape[-1] for m in mats)),
                    dtype=np.result_type(*mats))
     r = c = 0
     for m in mats:
-        out[r:r + m.shape[0], c:c + m.shape[1]] = m
-        r, c = r + m.shape[0], c + m.shape[1]
+        out[..., r:r + m.shape[-2], c:c + m.shape[-1]] = m
+        r, c = r + m.shape[-2], c + m.shape[-1]
     return out
 
 
-def pair_value(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> float:
-    """trace(A B) for symmetric/Hermitian factors, asserting a real result."""
-    v = complex(np.sum(a * b.conj()))
-    if abs(v.imag) > tol * (scale_of(a) * scale_of(b)) * max(1, a.shape[0]):
-        raise DomainError(f"inner product has non-negligible imaginary part {v.imag:.3e}")
+def pair_value(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL):
+    """trace(A B) for symmetric/Hermitian factors, or for every pair of two
+    broadcast (B, k, k) stacks, asserting real results."""
+    v = np.sum(a * b.conj(), axis=(-2, -1))
+    imag = np.abs(v.imag)
+    if np.any(imag > tol * (scales_of(a) * scales_of(b)) * max(1, a.shape[-1])):
+        raise DomainError(f"inner product has non-negligible imaginary part {imag.max():.3e}")
     return v.real
 
 
-def orth_defect(a: np.ndarray, b: np.ndarray) -> float:
-    """max |(A B)_{uv}|; near zero whenever trace(A B) ~ 0 with A, B psd."""
-    return float(np.max(np.abs(a @ b))) if a.size else 0.0
+def orth_defect(a: np.ndarray, b: np.ndarray):
+    """max |(A B)_{uv}|, for every pair of two broadcast stacks; near zero
+    whenever trace(A B) ~ 0 with A, B psd."""
+    return np.abs(a @ b).max(axis=(-2, -1), initial=0.0)
 
 
 def rank_factorization(m, tol: float = DEFAULT_TOL):

@@ -20,26 +20,21 @@ from .linalg import DEFAULT_TOL
 
 @dataclass(frozen=True)
 class Povm:
-    """A finite measurement: psd elements summing to the identity."""
+    """A finite measurement: psd elements summing to the identity, held as
+    one (n, d, d) stack."""
 
-    elements: tuple
+    elements: np.ndarray
 
     def __init__(self, elements, tol: float = DEFAULT_TOL):
-        elems = tuple(linalg.check_symmetric(e, tol) for e in elements)
-        if not elems:
-            raise InputError("a measurement needs at least one element")
-        d = elems[0].shape[0]
-        if any(e.shape[0] != d for e in elems):
-            raise InputError("measurement elements must share one dimension")
-        total = sum(elems)
-        if np.max(np.abs(total - np.eye(d))) > 1e-9 * (1 + d):
+        elems = linalg.check_psd_stack(elements, tol, "measurement element")
+        d = elems.shape[1]
+        if np.max(np.abs(elems.sum(axis=0) - np.eye(d))) > 1e-9 * (1 + d):
             raise InputError("measurement elements must sum to the identity")
-        linalg.check_psd_stack(elems, tol, "measurement element")
         object.__setattr__(self, "elements", elems)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[1]
 
     def __len__(self):
         return len(self.elements)
@@ -74,8 +69,8 @@ class CorrelationProtocol:
     def outcome_matrix(self) -> np.ndarray:
         """Joint outcome probabilities p(a, b) = trace((F_a (x) G_b) rho) as a matrix."""
         k = self.k
-        f = np.array(self.alice.elements).reshape(-1, k * k)
-        g = np.array(self.bob.elements).reshape(-1, k * k)
+        f = self.alice.elements.reshape(-1, k * k)
+        g = self.bob.elements.reshape(-1, k * k)
         # p(a, b) = sum F_a[i, j] G_b[m, l] rho[(j, l), (i, m)], the einsum
         # "aij,bml,jlim->ab"; contracting G with rho first costs q k^4 + p q k^2
         # multiplications where the three-way einsum costs p q k^4
@@ -106,17 +101,13 @@ def to_protocol(f: PsdFactorization, m, tol: float = DEFAULT_TOL) -> Correlation
         raise InputError(f"factorization is {f.shape}, matrix is {mm.shape}")
 
     f, _ = compress_to_common_span(f, tol)
-    a_stack = np.array(f.row_factors)
-    b_stack = np.array(f.col_factors)
     k = f.k
 
-    sig_a = linalg.sym(a_stack.sum(axis=0))
-    sig_b = linalg.sym(b_stack.sum(axis=0))
-    ra = linalg.psd_roots(sig_a, tol)
-    rb = linalg.psd_roots(sig_b, tol)
+    ra = linalg.psd_roots(linalg.sym(f.row_factors.sum(axis=0)), tol)
+    rb = linalg.psd_roots(linalg.sym(f.col_factors.sum(axis=0)), tol)
 
-    alice = Povm([linalg.sym(ra.inv_sqrt @ a @ ra.inv_sqrt) for a in a_stack], tol=1e-6)
-    bob = Povm([linalg.sym(rb.inv_sqrt @ b @ rb.inv_sqrt) for b in b_stack], tol=1e-6)
+    alice = Povm(linalg.sym(ra.inv_sqrt @ f.row_factors @ ra.inv_sqrt), tol=1e-6)
+    bob = Povm(linalg.sym(rb.inv_sqrt @ f.col_factors @ rb.inv_sqrt), tol=1e-6)
     psi = np.kron(ra.sqrt, rb.sqrt) @ np.eye(k).ravel()
     rho = np.outer(psi, psi)
     rho = rho / np.trace(rho)
@@ -135,21 +126,17 @@ def from_protocol(pr: CorrelationProtocol, tol: float = DEFAULT_TOL) -> PsdFacto
     if not keep:
         raise DomainError("state has no usable spectral weight")
 
-    row_blocks = [[] for _ in pr.alice.elements]
-    col_blocks = [[] for _ in pr.bob.elements]
+    row_blocks, col_blocks = [], []
     for t in keep:
         kmat = np.sqrt(w[t]) * vecs[:, t].reshape(k, k)
         u, s, vt = np.linalg.svd(kmat)
         half = s > 0
         left = u[:, half] * np.sqrt(s[half])
         right = vt[half].T * np.sqrt(s[half])
-        for i, fel in enumerate(pr.alice.elements):
-            row_blocks[i].append(linalg.sym(left.T @ fel @ left))
-        for j, gel in enumerate(pr.bob.elements):
-            col_blocks[j].append(linalg.sym(right.T @ gel @ right))
+        row_blocks.append(linalg.sym(left.T @ pr.alice.elements @ left))
+        col_blocks.append(linalg.sym(right.T @ pr.bob.elements @ right))
 
-    return make_factorization([linalg.block_diag(*per) for per in row_blocks],
-                              [linalg.block_diag(*per) for per in col_blocks])
+    return make_factorization(linalg.block_diag(*row_blocks), linalg.block_diag(*col_blocks))
 
 
 @dataclass(frozen=True)
@@ -179,8 +166,8 @@ def verify_protocol(m, pr: CorrelationProtocol, tol: float = 1e-7) -> ProtocolRe
     residual = float(np.max(np.abs(pr.outcome_matrix() - mm)))
     eye = np.eye(pr.k)
     comp = max(
-        float(np.max(np.abs(sum(pr.alice.elements) - eye))),
-        float(np.max(np.abs(sum(pr.bob.elements) - eye))),
+        float(np.max(np.abs(pr.alice.elements.sum(axis=0) - eye))),
+        float(np.max(np.abs(pr.bob.elements.sum(axis=0) - eye))),
     )
     psd_viol = max(0.0, -linalg.min_eig(pr.rho))
     tr_err = abs(float(np.trace(pr.rho)) - 1.0)

@@ -93,8 +93,8 @@ class SdpProblem:
             if group.ndim != 4 or len(group) != self.n + 1 or group.shape[1] == 0:
                 raise InputError(f"block group must be an ({self.n + 1}, B, s, s) stack "
                                  f"with B >= 1, got shape {group.shape}")
-            clean.append(linalg.sym_stack(group.reshape((-1,) + group.shape[2:]),
-                                          name="block matrix").reshape(group.shape))
+            clean.append(linalg.check_symmetric(group.reshape((-1,) + group.shape[2:]),
+                                                name="block matrix").reshape(group.shape))
         if not clean:
             raise InputError("problem has no constraint blocks")
         self.blocks = clean
@@ -105,8 +105,11 @@ class SdpProblem:
         return [_section(*_flat(group), x) for group in self.blocks]
 
     def margins(self, x):
-        """Smallest eigenvalue of every block at x, group after group."""
-        return np.concatenate([linalg.eig_extremes(v)[0] for v in self.block_values(x)])
+        """Smallest eigenvalue of every block at x, group after group. The
+        sections are combinations of coefficients __post_init__ checked, so
+        they are only symmetrized, not checked again."""
+        return np.concatenate([np.linalg.eigvalsh(linalg.sym(v))[:, 0]
+                               for v in self.block_values(x)])
 
 
 @dataclass(frozen=True)
@@ -540,18 +543,16 @@ def min_volume_shape(shapes) -> MveeResult:
     min eig(I - S^(1/2) P S^(1/2)) below -1e-9 raises NumericalFailure.
     newton_steps counts the centering steps plus one per path stage.
     """
-    shapes = [linalg.check_symmetric(np.asarray(s, dtype=float), name="shape") for s in shapes]
-    if not shapes:
-        raise InputError("need at least one shape")
-    d = shapes[0].shape[0]
-    if any(s.shape[0] != d for s in shapes):
-        raise InputError("shapes differ in size")
-    total = sum(shapes)
+    shapes = linalg.check_symmetric(shapes, name="shape")
+    if shapes.ndim != 3 or len(shapes) == 0 or np.iscomplexobj(shapes):
+        raise InputError(f"need a nonempty list of real shapes, got shape {shapes.shape}")
+    d = shapes.shape[1]
+    total = shapes.sum(axis=0)
     wmax = float(np.linalg.eigvalsh(total)[-1])
     if wmax <= 0 or linalg.numerical_rank(total) < d:
         raise InputError("shape union does not span the space")
 
-    w, v = np.linalg.eigh(np.stack(shapes))
+    w, v = np.linalg.eigh(shapes)
     w = np.clip(w, 0.0, None)
     lam_max = float(w[:, -1].max())
     # work at unit top eigenvalue so the barrier sees O(1) coefficients no

@@ -227,6 +227,14 @@ class TestInterval:
         iv = bounds.psd_rank_interval(m)
         assert (iv.lower, iv.upper) == (2, 2)
 
+    def test_rank_two_certificate_is_given_once(self):
+        m = np.array([[1.0, 2.0, 3.0, 4.0], [2.0, 3.0, 4.0, 5.0], [3.0, 4.0, 5.0, 6.0]])
+        iv = bounds.psd_rank_interval(m)
+        assert (iv.lower, iv.upper) == (2, 2)
+        exact = [c for c in iv.certificates if c.get("argument") == "rank <= 2 is exact"]
+        assert len(exact) == 1
+        assert (exact[0]["rows"], exact[0]["cols"]) == ([0, 1, 2], [0, 1, 2, 3])
+
     @pytest.mark.parametrize("m", [families.derangement(5), families.hexagon_slack()],
                              ids=["derangement5", "hexagon"])
     def test_canonical_block_is_computed_once(self, m, monkeypatch):

@@ -26,6 +26,7 @@ class TestSymmetricGram:
         g = SymmetricGram([np.eye(2), np.diag([1.0, 0.0])])
         assert np.array_equal(g.matrix(), [[2.0, 1.0], [1.0, 1.0]])
         assert g.k == 2 and len(g) == 2
+        assert g.factors.shape == (2, 2, 2) and g.factors.dtype == np.float64
 
     def test_rejects_indefinite_factor(self):
         with pytest.raises(InputError, match="psd"):
@@ -38,6 +39,12 @@ class TestSymmetricGram:
     def test_rejects_size_mismatch(self):
         with pytest.raises(InputError):
             SymmetricGram([np.eye(2), np.eye(3)])
+
+    @pytest.mark.parametrize("mats", [[np.eye(2), np.ones((1, 2))], np.eye(2)],
+                             ids=["ragged", "one-matrix"])
+    def test_rejects_lists_that_do_not_stack(self, mats):
+        with pytest.raises(InputError):
+            SymmetricGram(mats)
 
     def test_rejects_empty(self):
         with pytest.raises(InputError):

@@ -11,6 +11,11 @@ from conftest import random_factorization
 TOL = 1e-9
 
 
+def all_factors(f):
+    """Row factors then column factors, as one stack."""
+    return np.concatenate([f.row_factors, f.col_factors])
+
+
 class TestVerify:
     def test_catalog_passes(self, catalog_entry):
         report = factors.verify(catalog_entry.matrix, catalog_entry.factorization, tol=TOL)
@@ -73,7 +78,7 @@ class TestFromHadamardSqrt:
         f = factors.from_hadamard_sqrt(n)
         assert f.k == 2
         assert factors.verify(n * n, f).passed
-        for g in f.row_factors + f.col_factors:
+        for g in all_factors(f):
             assert linalg.numerical_rank(g) <= 1
 
     def test_identity(self):
@@ -107,8 +112,11 @@ class TestDirectSum:
 
     def test_empty_identity_element(self, catalog):
         empty = factors.PsdFactorization("real", (), ())
+        assert empty.k == 0 and empty.shape == (0, 0)
+        assert empty.row_factors.shape == empty.col_factors.shape == (0, 0, 0)
         f = factors.direct_sum(catalog[0].factorization, empty)
         assert f is catalog[0].factorization
+        assert factors.direct_sum(empty, f) is f
 
     def test_field_mismatch(self, catalog):
         with pytest.raises(InputError):
@@ -118,7 +126,7 @@ class TestDirectSum:
         h, m = factors.hermitian_derangement4(), derangement(4)
         f = factors.direct_sum(h, h)
         assert f.field == "hermitian"
-        assert all(a.dtype == np.complex128 for a in f.row_factors + f.col_factors)
+        assert all_factors(f).dtype == np.complex128
         assert factors.verify(linalg.block_diag(m, m), f).passed
 
 
@@ -152,7 +160,7 @@ class TestAdd:
         h = factors.hermitian_derangement4()
         f = factors.add(h, h)
         assert f.field == "hermitian" and f.k == 4
-        assert all(a.dtype == np.complex128 for a in f.row_factors + f.col_factors)
+        assert all_factors(f).dtype == np.complex128
         assert factors.verify(2.0 * derangement(4), f).passed
 
 
@@ -254,8 +262,7 @@ class TestRescaleTrace:
         cols = [np.diag([0.5, 0.5])] * 2
         f = factors.make_factorization(rows, cols)
         g = factors.rescale_trace(f, f.matrix())
-        for a, b in zip(f.row_factors + f.col_factors, g.row_factors + g.col_factors):
-            assert np.max(np.abs(a - b)) <= 1e-12
+        assert np.max(np.abs(all_factors(f) - all_factors(g))) <= 1e-12
 
     def test_identity_columns(self):
         f = factors.from_nonneg_factorization(np.eye(2), np.eye(2))
@@ -288,8 +295,7 @@ class TestRescaleJohn:
         return np.sqrt(k * np.max(np.abs(m))) * (1.0 + 1e-6)
 
     def lam_max(self, f):
-        return max(float(np.linalg.eigvalsh(g)[-1])
-                   for g in f.row_factors + f.col_factors)
+        return max(float(np.linalg.eigvalsh(g)[-1]) for g in all_factors(f))
 
     def test_skewed_derangement(self, catalog):
         d3 = catalog[0]
@@ -375,16 +381,13 @@ class TestExplicitFamilies:
     def test_generator_matches_catalog_for_n3(self, catalog):
         f = factors.derangement_factorization(3)
         ref = catalog[0].factorization
-        for a, b in zip(f.row_factors + f.col_factors,
-                        ref.row_factors + ref.col_factors):
-            assert np.array_equal(a, b)
+        assert np.array_equal(all_factors(f), all_factors(ref))
 
     def test_generator_matches_catalog_for_n6(self, catalog):
         f = factors.derangement_factorization(6)
         ref = catalog[1].factorization
-        for a, b in zip(f.row_factors + f.col_factors,
-                        ref.row_factors + ref.col_factors):
-            assert np.max(np.abs(a - b)) <= 1e-15
+        assert all_factors(f).shape == all_factors(ref).shape
+        assert np.max(np.abs(all_factors(f) - all_factors(ref))) <= 1e-15
 
     def test_generator_covers_intermediate_sizes(self):
         for n in range(2, 12):
@@ -399,9 +402,8 @@ class TestExplicitFamilies:
     def test_hermitian4_matches_catalog(self, catalog):
         f = factors.hermitian_derangement4()
         ref = catalog[2].factorization
-        for a, b in zip(f.row_factors + f.col_factors,
-                        ref.row_factors + ref.col_factors):
-            assert np.max(np.abs(a - b)) <= 1e-15
+        assert all_factors(f).shape == all_factors(ref).shape
+        assert np.max(np.abs(all_factors(f) - all_factors(ref))) <= 1e-15
 
 
 def test_random_constructions_verify():
@@ -417,6 +419,60 @@ def test_scale_rows_and_cols_track_the_matrix(catalog):
     assert factors.verify(np.diag([1.0, 2.0, 3.0]) @ d3.matrix, f).passed
     g = factors.scale_cols(d3.factorization, [1.0, 2.0, 3.0])
     assert factors.verify(d3.matrix @ np.diag([1.0, 2.0, 3.0]), g).passed
+
+
+class TestStacks:
+    """Factor lists are (n, k, k) arrays, checked once per list."""
+
+    @pytest.mark.parametrize("rows, cols", [
+        ([np.eye(2), np.eye(3)], [np.eye(2)]),
+        ([np.eye(2)], [np.eye(3)]),
+        ([np.eye(2), np.ones((1, 2))], [np.eye(2)]),
+        (np.eye(2), [np.eye(2)]),
+    ], ids=["mixed-size-list", "sides-differ", "ragged", "one-matrix"])
+    def test_lists_that_do_not_stack_are_input_errors(self, rows, cols):
+        with pytest.raises(InputError):
+            factors.make_factorization(rows, cols)
+        with pytest.raises(InputError):
+            factors.make_factorization(cols, rows)
+
+    def test_an_empty_side_keeps_the_factor_size(self):
+        f = factors.make_factorization([], [np.eye(2), np.ones((2, 2))])
+        assert f.k == 2 and f.shape == (0, 2)
+        assert f.row_factors.shape == (0, 2, 2) and f.matrix().shape == (0, 2)
+
+    def test_the_one_check_names_the_first_bad_factor(self):
+        bad = np.array([[1.0, 1e-3], [0.0, 1.0]])
+        with pytest.raises(DomainError, match="column factor 2 is not symmetric"):
+            factors.make_factorization([np.eye(2)], [np.eye(2), np.eye(2), bad, bad])
+
+    def test_constructors_return_stacks(self, catalog):
+        d3, h4 = catalog[0], factors.hermitian_derangement4()
+        f, m = d3.factorization, d3.matrix
+        padded = factors.PsdFactorization("real", np.pad(f.row_factors, ((0, 0), (0, 1), (0, 1))),
+                                          np.pad(f.col_factors, ((0, 0), (0, 1), (0, 1))))
+        built = [
+            factors.make_factorization([], [np.eye(2)]),
+            factors.make_factorization([np.eye(2)], [np.eye(2)], "hermitian"),
+            factors.from_nonneg_factorization(np.eye(3), np.ones((2, 3))),
+            factors.from_hadamard_sqrt(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -2.0]])),
+            factors.direct_sum(f, f), factors.direct_sum(h4, h4),
+            factors.add(f, f), factors.add(h4, h4),
+            factors.compose_right(f, np.ones((3, 2))), factors.compose_right(h4, np.eye(4)),
+            factors.kron_factorization(f, f), factors.kron_factorization(h4, h4),
+            factors.hermitian_embed(h4),
+            factors.rescale_trace(f, m), factors.rescale_trace(h4),
+            factors.rescale_trace(padded, m), factors.rescale_john(padded, m),
+            factors.compress_to_common_span(padded, TOL)[0],
+            factors.rank1_expand(f).factorization, factors.rank1_expand(h4).factorization,
+            factors.scale_rows(f, [1.0, 2.0, 3.0]), factors.scale_cols(h4, np.ones(4)),
+            factors.transpose(h4), factors.derangement_factorization(5),
+        ]
+        for g in built:
+            p, q = g.shape
+            dtype = np.complex128 if g.field == "hermitian" else np.float64
+            assert g.row_factors.shape == (p, g.k, g.k) and g.col_factors.shape == (q, g.k, g.k)
+            assert g.row_factors.dtype == g.col_factors.dtype == dtype
 
 
 def test_transpose_swaps_sides(catalog):

@@ -65,6 +65,36 @@ class TestEigExtremes:
             linalg.eig_extremes(np.zeros((2, 2, 3)))
 
 
+class TestCheckSymmetric:
+    def test_stack_matches_matrix_by_matrix(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((4, 3, 3))
+        a = a + a.transpose(0, 2, 1) + 1e-12 * rng.standard_normal((4, 3, 3))
+        stack = linalg.check_symmetric(a)
+        assert stack.shape == a.shape
+        for s, m in zip(stack, a):
+            assert np.array_equal(s, linalg.check_symmetric(m))
+            assert np.array_equal(s, linalg.sym(m))
+        assert np.array_equal(linalg.sym(a), stack)
+
+    def test_tol_applies_to_every_matrix(self):
+        slight = np.stack([np.eye(2), [[1.0, 1e-8], [0.0, 1.0]]])
+        linalg.check_symmetric(slight, tol=1e-9)
+        with pytest.raises(DomainError, match="matrix 1 is not symmetric"):
+            linalg.check_symmetric(slight, tol=1e-11)
+        with pytest.raises(DomainError, match="^matrix is not symmetric"):
+            linalg.check_symmetric(slight[1], tol=1e-11)
+
+    def test_a_ragged_list_is_an_input_error(self):
+        with pytest.raises(InputError):
+            linalg.check_symmetric([np.eye(2), np.eye(3)])
+
+    @pytest.mark.parametrize("fn", [linalg.min_eig, linalg.psd_roots, linalg.vecm])
+    def test_single_matrix_functions_refuse_a_stack(self, fn):
+        with pytest.raises(InputError, match="2-dimensional"):
+            fn(np.stack([np.eye(2)] * 3))
+
+
 class TestVecm:
     def test_identity(self):
         assert np.allclose(linalg.vecm(np.eye(2)), [1.0, 1.0, 0.0])
@@ -123,6 +153,14 @@ class TestBlockDiag:
         expected = np.diag([1.0, 0.0, 0.0, 1j])
         expected[1:3, 1:3] = 2.0
         assert out.dtype == np.complex128 and np.array_equal(out, expected)
+
+    def test_stacks_are_padded_matrix_by_matrix(self):
+        a = np.arange(8.0).reshape(2, 2, 2)
+        b = np.arange(2.0).reshape(2, 1, 1)
+        out = linalg.block_diag(a, np.ones((1, 1)), b)
+        assert out.shape == (2, 4, 4)
+        for o, x, y in zip(out, a, b):
+            assert np.array_equal(o, linalg.block_diag(x, np.ones((1, 1)), y))
 
 
 def test_psd_pairs_have_nonnegative_inner_product():

@@ -1,8 +1,8 @@
 """Package guards: numpy is the only third-party import, no function body
 imports, every name in psdrank.__all__ resolves, every public
 psdrank.linalg function has a caller in the package, every module-level
-private function is used in its module, and the README documents exactly
-the environment variables the CLI reads."""
+private function is used in its module, no module re-stacks a factor list,
+and the README documents exactly the environment variables the CLI reads."""
 import ast
 import inspect
 import re
@@ -83,6 +83,33 @@ def test_no_import_inside_a_function():
              for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
              for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert inner == []
+
+
+FACTOR_LISTS = {"row_factors", "col_factors", "elements", "factors"}
+RESTACKERS = {"stack", "array", "list", "tuple"}
+
+
+def test_factor_lists_are_never_restacked():
+    # factor lists, POVM elements and Gram factors are (n, k, k) arrays
+    # already; converting them again is a second format
+    restacked = []
+    for name, tree in _module_trees():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            fn = call.func
+            if isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name) \
+                    and fn.value.id in ("np", "numpy"):
+                callee = fn.attr
+            elif isinstance(fn, ast.Name) and fn.id in ("list", "tuple"):
+                callee = fn.id
+            else:
+                continue
+            if callee in RESTACKERS and any(
+                    isinstance(node, ast.Attribute) and node.attr in FACTOR_LISTS
+                    for arg in call.args for node in ast.walk(arg)):
+                restacked.append(f"{name}:{call.lineno}")
+    assert restacked == []
 
 
 def test_every_private_module_function_is_used_in_its_module():

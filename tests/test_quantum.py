@@ -21,6 +21,7 @@ class TestPovm:
     def test_accepts_projective(self):
         p = Povm(PROJ2)
         assert p.dim == 2 and len(p) == 2
+        assert p.elements.shape == (2, 2, 2) and p.elements.dtype == np.float64
 
     def test_rejects_wrong_sum(self):
         with pytest.raises(InputError, match="identity"):
@@ -39,6 +40,13 @@ class TestPovm:
     def test_rejects_empty(self):
         with pytest.raises(InputError):
             Povm([])
+
+    @pytest.mark.parametrize("elems", [[np.diag([1.0, 0.0]), np.diag([0.0, 1.0, 1.0])],
+                                       [np.eye(2), np.ones((1, 2))], np.eye(2)],
+                             ids=["mixed-size", "ragged", "one-matrix"])
+    def test_rejects_lists_that_do_not_stack(self, elems):
+        with pytest.raises(InputError):
+            Povm(elems)
 
 
 class TestToProtocol:

@@ -88,6 +88,20 @@ class TestProblemValidation:
                            scalar_group([1.0, -1.0], [1.0, 1.0])])
         assert np.allclose(p.margins([3.0]), [3.0, 4.0, 2.0])
 
+    def test_margins_match_the_checked_eigenvalues_bitwise(self):
+        # margins only symmetrizes the sections; the checked path through
+        # linalg.eig_extremes must give the same bits
+        rng = np.random.default_rng(31)
+        programs = [feasible_problem(rng, 4, [(1, 3), (2, 2), (3, 2)])[0],
+                    geometry.ellipse_program(nested_rectangles_pair(0.4, 0.7)),
+                    geometry.ellipse_program(
+                        geometry.polytopes_from_matrix(families.circulant3(1.0, 1.3, 0.4)))]
+        for p in programs:
+            for scale in (1e-3, 1.0, 30.0):
+                x = scale * rng.standard_normal(p.n)
+                ref = np.concatenate([linalg.eig_extremes(v)[0] for v in p.block_values(x)])
+                assert np.array_equal(p.margins(x), ref)
+
 
 class TestFeasibility:
     def test_margin_point_on_request(self):
