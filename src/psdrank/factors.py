@@ -15,6 +15,10 @@ from .errors import DomainError, InputError
 from .linalg import DEFAULT_TOL, rank_to_min_size
 
 
+# floats one gathered stack of verify's orthogonality check holds, about
+ORTH_CHUNK = 2 ** 18
+
+
 @dataclass(frozen=True)
 class PsdFactorization:
     """Row factors A_1..A_p and column factors B_1..B_q as (p, k, k) and
@@ -118,7 +122,13 @@ def verify(m, f: PsdFactorization, tol: float = DEFAULT_TOL) -> VerificationRepo
     max_viol = max(0.0, -float(lmin.min()))
     fac_scale = linalg.scale_of(stack)
     zr, zc = np.nonzero(mm.real <= tol * scale_m)
-    defects = linalg.orth_defect(f.row_factors[zr], f.col_factors[zc])
+    # the zero entries go in chunks, so the gathered factor pairs stay near
+    # ORTH_CHUNK floats however many zeros m has
+    step = max(1, ORTH_CHUNK // max(f.k, 1) ** 2)
+    defects = np.empty(zr.size)
+    for i in range(0, zr.size, step):
+        part = slice(i, i + step)
+        defects[part] = linalg.orth_defect(f.row_factors[zr[part]], f.col_factors[zc[part]])
     eps = np.maximum(mm.real[zr, zc], 0.0) + tol * scale_m
     lmax_rows, lmax_cols = np.maximum(lmax[:p][zr], tol), np.maximum(lmax[p:][zc], tol)
     bounds = 2.0 * np.sqrt(eps * lmax_rows * lmax_cols) + tol

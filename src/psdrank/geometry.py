@@ -14,6 +14,9 @@ The question is invariant under affine maps of the plane, so the pair is
 built in one chart: P is centered on its principal axes, read off one SVD
 of the centered slack matrix. The solver sees that chart scaled per axis
 (_frame), and its ellipse comes back to the chart by the same diagonal map.
+Before the solver runs, the framed pair's centered circle is tried in
+closed form; when it fits it answers yes without the solver, and its
+certificate is re-checked by certify like any other.
 """
 from __future__ import annotations
 
@@ -285,22 +288,47 @@ def _frame(pair: SandwichPair):
     return framed, np.diag(np.append(d, 1.0)), s
 
 
+def _circle_candidate(framed: SandwichPair) -> np.ndarray:
+    """ellipse_program variables of the centered circle |y|^2 <= R^2 of a
+    _frame pair: Theta = diag(1/2, 1/2, -R^2/2).
+
+    A facet g . y <= h with |g| = 1 leaves its block the Schur complement
+    (h^2 - R^2)/2 - (lam - h)^2/2 of the leading I/2, largest at lam = h.
+    A facet with a numerically zero normal has corner lam h - R^2/2, which
+    lam = (1/2 + R^2/2)/h sets to 1/2; a zero offset (a zero column) admits
+    no lam and keeps lam = 0. R^2 sits midway between the largest squared
+    vertex norm and the smallest squared offset of a unit-normal facet, so
+    the vertex rows and those Schur complements all get at least a quarter
+    of the gap between the two.
+    """
+    verts = framed.inner.vertices
+    normals, offsets = framed.outer.normals, framed.outer.offsets
+    unit = np.linalg.norm(normals, axis=1) > 0.5
+    r2 = 0.5 * (np.max(np.sum(verts * verts, axis=1)) + np.min(offsets[unit] ** 2))
+    flat = np.divide(0.5 + 0.5 * r2, offsets, out=np.zeros_like(offsets), where=offsets > 0)
+    return np.concatenate([[0.0, 0.0, 0.0, 0.0, -0.5 * r2], np.where(unit, offsets, flat)])
+
+
 def decide_psd_rank_le_2(m):
     """(answer, certificate): is the psd rank of m at most 2?
 
     Matrices of usual rank <= 2 are a yes without a certificate (psd rank is
     at most the rank); rank >= 4 is a no since a size-2 factorization forces
     rank <= 3. The rank-3 core builds the planar pair of polytopes_from_matrix
-    and solves the ellipse containment program on its _frame, where the
+    and its ellipse containment program on the pair's _frame, where the
     vertices have about unit spread and every facet a unit normal; near the
     boundary of the psd-rank-2 region the raw pair's scales leave the margin
-    and the dual both short of a decision. A framed ellipse Theta' with
-    multipliers lambda' maps back to Theta = h Theta' h and
-    lambda_j = lambda'_j / s_j, divided by the trace of the quadratic part,
-    so the certificate is for the pair polytopes_from_matrix(m) itself.
-    A yes is returned only once certify passes on that pair; a certificate
-    that fails it, as a solver margin inside FEAS_TOL can after the
-    back-map, raises NumericalFailure like an undecided program.
+    and the dual both short of a decision. In that frame a centered circle
+    often fits (_circle_candidate): when its program margins reach
+    sdp.DECISIVE, the margin at which solve's path stops as feasible, it is
+    the framed answer and solve is not called. Otherwise solve decides.
+    A framed ellipse Theta' with multipliers lambda' maps back to
+    Theta = h Theta' h and lambda_j = lambda'_j / s_j, divided by the trace
+    of the quadratic part, so the certificate is for the pair
+    polytopes_from_matrix(m) itself. A yes, from the circle or from solve,
+    is returned only once certify passes on that pair; a certificate that
+    fails it, as a solver margin inside FEAS_TOL can after the back-map,
+    raises NumericalFailure like an undecided program.
     """
     mm = linalg.as_matrix(m)
     r = linalg.numerical_rank(mm)
@@ -311,23 +339,27 @@ def decide_psd_rank_le_2(m):
 
     pair = polytopes_from_matrix(mm)
     framed, h, s = _frame(pair)
-    sol = sdp.solve(ellipse_program(framed))
-    if sol.status == "feasible":
-        e = _solution_to_ellipse(sol.x)
-        theta = h @ e.theta @ h
-        tr = float(np.trace(theta[:2, :2]))
-        ellipse = Ellipse(theta / tr, e.multipliers / s / tr)
-        check = certify(pair, ellipse)
-        if not check.passed:
+    program = ellipse_program(framed)
+    x = _circle_candidate(framed)
+    if program.margins(x).min() < sdp.DECISIVE:
+        sol = sdp.solve(program)
+        if sol.status == "infeasible":
+            return False, None
+        if sol.status != "feasible":
             raise NumericalFailure(
-                f"ellipse certificate fails its re-check (worst {check.worst:.2e})"
+                f"ellipse program undecided (margin {sol.margin}, gap {sol.gap})"
             )
-        return True, ellipse
-    if sol.status == "infeasible":
-        return False, None
-    raise NumericalFailure(
-        f"ellipse program undecided (margin {sol.margin}, gap {sol.gap})"
-    )
+        x = sol.x
+    e = _solution_to_ellipse(x)
+    theta = h @ e.theta @ h
+    tr = float(np.trace(theta[:2, :2]))
+    ellipse = Ellipse(theta / tr, e.multipliers / s / tr)
+    check = certify(pair, ellipse)
+    if not check.passed:
+        raise NumericalFailure(
+            f"ellipse certificate fails its re-check (worst {check.worst:.2e})"
+        )
+    return True, ellipse
 
 
 # ---------------------------------------------------------------------------

@@ -90,9 +90,9 @@ class SdpProblem:
                 group = np.asarray(group, dtype=float)
             except ValueError:
                 raise InputError("block group is not an (n+1, B, s, s) array") from None
-            if group.ndim != 4 or len(group) != self.n + 1 or group.shape[1] == 0:
+            if group.ndim != 4 or len(group) != self.n + 1 or min(group.shape[1:]) == 0:
                 raise InputError(f"block group must be an ({self.n + 1}, B, s, s) stack "
-                                 f"with B >= 1, got shape {group.shape}")
+                                 f"with B >= 1 and s >= 1, got shape {group.shape}")
             clean.append(linalg.check_symmetric(group.reshape((-1,) + group.shape[2:]),
                                                 name="block matrix").reshape(group.shape))
         if not clean:

@@ -44,7 +44,7 @@ def test_01_catalog_factorizations_verify():
 def test_02_circulant_grid_matches_quadratic_region(tmp_path):
     # 41x41 grid over b, c in [0, 2]: the rank-2 decision agrees with the
     # sign of 2(ab+bc+ca) - (a^2+b^2+c^2) wherever that margin exceeds 1e-4
-    with Budget(45.0):
+    with Budget(10.0):
         out = tmp_path / "grid.csv"
         assert cli.main(["region", "circulant", "--grid", "41", "-o", str(out)]) == 0
         lines = out.read_text().strip().split("\n")
@@ -64,7 +64,7 @@ def test_02_circulant_grid_matches_quadratic_region(tmp_path):
 
 def test_03_nested_rectangle_grid_matches_circle(tmp_path):
     # 21x21 interior grid: rank-2 holds exactly when a^2 + b^2 <= 1
-    with Budget(12.0):
+    with Budget(5.0):
         out = tmp_path / "grid.csv"
         assert cli.main(["region", "nested-rect", "--grid", "21", "-o", str(out)]) == 0
         lines = out.read_text().strip().split("\n")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,38 @@ class TestVerify:
     def test_shape_mismatch(self, catalog):
         with pytest.raises(InputError):
             factors.verify(np.zeros((2, 2)), catalog[0].factorization)
+
+    @pytest.mark.parametrize("case", ["disjoint-supports", "zero-matrix"])
+    def test_chunked_orthogonality_check_matches_one_chunk(self, case, monkeypatch):
+        rng = np.random.default_rng(7)
+        k = 20
+        if case == "disjoint-supports":
+            # 0/1 vectors with two ones each: most pairs miss, and verify passes
+            pick = lambda n: np.stack([rng.permutation(k) < 2 for _ in range(n)]).astype(float)
+            a, b = pick(60), pick(60)
+            m, f = a @ b.T, factors.from_nonneg_factorization(a, b)
+        else:
+            m, f = np.zeros((40, 40)), random_factorization(rng, 40, 40, k)[1]
+        zeros = np.count_nonzero(m == 0)
+        assert zeros > 2 * factors.ORTH_CHUNK // k ** 2
+        chunked = factors.verify(m, f)
+        monkeypatch.setattr(factors, "ORTH_CHUNK", 2 ** 40)
+        whole = factors.verify(m, f)
+        assert chunked.passed is whole.passed is (case == "disjoint-supports")
+        assert chunked == whole
+
+    def test_orthogonality_check_memory_is_bounded(self):
+        # 10 000 zero entries against k = 20 factors: gathered at once, the
+        # factor pairs alone would take 2 x 32 MB
+        f = random_factorization(np.random.default_rng(3), 100, 100, 20)[1]
+        tracemalloc.start()
+        try:
+            report = factors.verify(np.zeros((100, 100)), f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not report.passed
+        assert peak < 20 * 2 ** 20
 
 
 class TestFromNonneg:

@@ -290,6 +290,65 @@ class TestDecide:
         assert factors.verify(m, geometry.factorization_from_ellipse(m, pair, e)).passed
 
 
+def circle_margin(m):
+    """Smallest program margin of the framed pair's centered circle."""
+    framed = geometry._frame(geometry.polytopes_from_matrix(m))[0]
+    return geometry.ellipse_program(framed).margins(geometry._circle_candidate(framed)).min()
+
+
+class TestCirclePrecheck:
+    @pytest.mark.parametrize("m", [
+        families.circulant3(1.0, 1.5, 1.2),
+        np.hstack([families.circulant3(1.0, 1.3, 0.4), np.ones((3, 1))]),
+    ], ids=["circulant", "constant-column"])
+    def test_fitting_circle_decides_without_the_solver(self, m, monkeypatch):
+        def refuse(problem):
+            raise AssertionError("sdp.solve called on a cell the circle decides")
+
+        monkeypatch.setattr(sdp, "solve", refuse)
+        ans, e = geometry.decide_psd_rank_le_2(m)
+        assert ans is True
+        pair = geometry.polytopes_from_matrix(m)
+        assert geometry.certify(pair, e).passed
+        assert factors.verify(m, geometry.factorization_from_ellipse(m, pair, e)).passed
+
+    @pytest.mark.parametrize("m, expected", [
+        (families.circulant3(1.0, 0.1, 0.1), False),
+        (families.nested_rectangles(0.75, 0.3), True),
+        # a zero column: a facet 0 <= 0 that no circle multiplier can absorb;
+        # only the path to the solver is checked here, not the answer
+        (np.hstack([families.circulant3(1.0, 1.3, 0.4), np.zeros((3, 1))]), None),
+    ], ids=["circulant-no", "rectangle-yes", "zero-column"])
+    def test_other_cells_reach_the_solver(self, m, expected, monkeypatch):
+        calls = []
+        solve = sdp.solve
+        monkeypatch.setattr(sdp, "solve", lambda problem: calls.append(1) or solve(problem))
+        assert circle_margin(m) < sdp.DECISIVE
+        ans, _ = geometry.decide_psd_rank_le_2(m)
+        assert calls == [1]
+        if expected is not None:
+            assert ans is expected
+
+    @pytest.mark.parametrize("family", ["circulant3", "nested_rectangles"])
+    def test_circle_decides_only_strictly_feasible_cells(self, family):
+        rng = np.random.default_rng(26)
+        decided = 0
+        for _ in range(60):
+            if family == "circulant3":
+                b, c = 2.0 * rng.random(2)
+                m, margin = families.circulant3(1.0, b, c), families.circulant3_rank2_margin(1.0, b, c)
+            else:
+                a, b = 0.02 + 0.96 * rng.random(2)
+                m, margin = families.nested_rectangles(a, b), 1.0 - a * a - b * b
+            if linalg.numerical_rank(m) != 3 or circle_margin(m) < sdp.DECISIVE:
+                continue
+            decided += 1
+            framed = geometry._frame(geometry.polytopes_from_matrix(m))[0]
+            assert margin > 0
+            assert sdp.solve(geometry.ellipse_program(framed)).status == "feasible"
+        assert decided >= 10
+
+
 class TestExtraction:
     def test_circle_gives_rank_one_rows(self, by_name):
         m = by_name["nested-squares-circle"].matrix

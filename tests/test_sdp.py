@@ -74,6 +74,11 @@ class TestProblemValidation:
         with pytest.raises(InputError):
             SdpProblem(1, [np.zeros((2, 0, 2, 2))])
 
+    @pytest.mark.parametrize("shape", [(2, 1, 0, 0), (2, 3, 0, 0), (2, 1, 2, 0), (2, 1, 0, 2)])
+    def test_empty_blocks_rejected(self, shape):
+        with pytest.raises(InputError, match="s >= 1"):
+            SdpProblem(1, [np.zeros(shape)])
+
     def test_non_square_blocks(self):
         with pytest.raises(DomainError):
             SdpProblem(1, [np.zeros((2, 1, 2, 3))])
