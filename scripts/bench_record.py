@@ -14,7 +14,10 @@ pair follow each other; each side also runs one traced pass
 then imports psdrank from that checkout's src/ and records:
     - the `src/` line count (`wc -l` over its .py files);
     - the in-process `cli.main` wall time of `region circulant --grid 41`
-      and `region nested-rect --grid 21`, median of REGION_REPEATS;
+      and `region nested-rect --grid 21`, median of REGION_REPEATS, and the
+      number of `sdp.solve` calls and `geometry.ellipse_program` builds in
+      one more, counted run of each (a rank-3 cell that reaches neither was
+      decided by the closed-form circle);
     - how many intervals of a fixed list `psd_rank_interval` closes
       (see closed_interval_list).
 
@@ -95,6 +98,31 @@ def closed_interval_list():
     return items
 
 
+def _count_calls(run):
+    """Calls of sdp.solve and geometry.ellipse_program during run(), counted
+    by wrapping the two module attributes, which are restored after."""
+    from psdrank import geometry, sdp
+
+    counts, saved = {}, []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((sdp, "solve"), (geometry, "ellipse_program")):
+        counts[name] = 0
+        saved.append((module, name, getattr(module, name)))
+        setattr(module, name, counting(name, getattr(module, name)))
+    try:
+        run()
+    finally:
+        for module, name, fn in saved:
+            setattr(module, name, fn)
+    return counts
+
+
 def probe(checkout):
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "bench")]
     from psdrank import bounds, cli
@@ -110,12 +138,17 @@ def probe(checkout):
     region = {}
     with tempfile.TemporaryDirectory() as tmp:
         for family, grid in (("circulant", 41), ("nested-rect", 21)):
+            argv = ["region", family, "--grid", str(grid), "-o", os.path.join(tmp, "r.csv")]
             times = []
             for _ in range(REGION_REPEATS):
                 t0 = time.perf_counter()
-                cli.main(["region", family, "--grid", str(grid), "-o", os.path.join(tmp, "r.csv")])
+                cli.main(argv)
                 times.append(time.perf_counter() - t0)
-            region[f"{family} --grid {grid}"] = {"runs_s": times, "median_s": statistics.median(times)}
+            counts = _count_calls(lambda: cli.main(argv))
+            region[f"{family} --grid {grid}"] = {
+                "runs_s": times, "median_s": statistics.median(times),
+                "sdp_solve_calls": counts["solve"],
+                "ellipse_program_builds": counts["ellipse_program"]}
 
     groups = {}
     for group, label, m in closed_interval_list():

@@ -20,15 +20,6 @@ from .geometry import Ellipse
 _FIELDS = ("real", "hermitian")
 
 
-def _entry_out(x):
-    if isinstance(x, complex) or np.iscomplexobj(x):
-        re, im = float(np.real(x)), float(np.imag(x))
-        if im == 0.0:
-            return re
-        return [re, im]
-    return float(x)
-
-
 def _entry_in(x, where):
     if isinstance(x, (int, float)):
         v = float(x)
@@ -56,7 +47,9 @@ def encode_matrix(m) -> dict:
         raise InputError("only two dimensional arrays are encoded")
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise InputError("matrix entries must be finite")
-    data = [[_entry_out(x) for x in row] for row in arr]
+    data = arr.real.astype(float).tolist()
+    if np.iscomplexobj(arr):  # [re, im] only where im is nonzero
+        data = [[r if i == 0.0 else [r, i] for r, i in zip(*z)] for z in zip(data, arr.imag.tolist())]
     return {"rows": int(arr.shape[0]), "cols": int(arr.shape[1]), "data": data}
 
 
@@ -67,17 +60,22 @@ def decode_matrix(obj, where: str = "matrix") -> np.ndarray:
     data = obj["data"]
     if not isinstance(data, list) or len(data) != p:
         raise InputError(f"{where}: data must have {p} rows")
-    out = []
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != q:
             raise InputError(f"{where}: row {i} must have {q} entries")
-        out.append([_entry_in(x, where) for x in row])
     if p == 0 or q == 0:
         return np.zeros((p, q))
-    arr = np.array(out)
+    try:  # plain numbers in one call; pairs, strings, mixed rows, huge ints entry by entry
+        arr = np.array(data)
+    except ValueError:
+        arr = np.empty(0)
+    if arr.shape != (p, q) or arr.dtype.kind not in "biuf":
+        arr = np.array([[_entry_in(x, where) for x in row] for row in data])
+    elif not np.all(np.isfinite(arr)):
+        raise InputError(f"{where}: entries must be finite")
     if arr.dtype == object:
         raise InputError(f"{where}: entries must be numbers or [re, im] pairs")
-    return arr
+    return arr if arr.dtype.kind in "fc" else arr.astype(float)
 
 
 def encode_factorization(f: PsdFactorization) -> dict:

@@ -14,9 +14,10 @@ The question is invariant under affine maps of the plane, so the pair is
 built in one chart: P is centered on its principal axes, read off one SVD
 of the centered slack matrix. The solver sees that chart scaled per axis
 (_frame), and its ellipse comes back to the chart by the same diagonal map.
-Before the solver runs, the framed pair's centered circle is tried in
-closed form; when it fits it answers yes without the solver, and its
-certificate is re-checked by certify like any other.
+Before the program is built, the framed pair's centered circle is screened
+by _margins, the one evaluation of an ellipse on a pair; when it fits it
+answers yes without the solver. certify re-checks every yes by _margins. A
+vacuous facet 0 . x <= 0 (a zero column) gets multiplier 0 and no block.
 """
 from __future__ import annotations
 
@@ -133,6 +134,8 @@ class Ellipse:
             raise InputError("ellipse form must be 3x3")
         object.__setattr__(self, "theta", t)
         object.__setattr__(self, "multipliers", np.asarray(self.multipliers, dtype=float).reshape(-1))
+        if not np.all(np.isfinite(self.multipliers)):
+            raise InputError("ellipse multipliers must be finite")
 
     @property
     def a_form(self) -> np.ndarray:
@@ -147,7 +150,7 @@ class Ellipse:
         return float(self.theta[2, 2])
 
     def is_degenerate(self, tol: float = DEGENERATE_EIG) -> bool:
-        return linalg.min_eig(self.a_form) < tol
+        return float(np.linalg.eigvalsh(self.a_form)[0]) < tol  # theta is checked in __post_init__
 
     def evaluate(self, x) -> float:
         """Quadratic q(x); the ellipse is {x : q(x) <= 0}."""
@@ -180,37 +183,48 @@ class EllipseCheck:
                    self.facet_violation, self.multiplier_violation)
 
 
+def _vacuous(outer: PolyhedronH) -> np.ndarray:
+    """Mask of the facets 0 . x <= 0 within DEFAULT_TOL: the whole plane, no block."""
+    return np.maximum(np.abs(outer.normals).max(axis=1), np.abs(outer.offsets)) <= DEFAULT_TOL
+
+
+def _margins(pair: SandwichPair, theta: np.ndarray, lam: np.ndarray):
+    """(-q(v) per vertex, lam, the smallest eigenvalue of every non-vacuous
+    facet block theta - lam_j F_j) of the ellipse (theta, lam) on a planar
+    pair: >= 0 where a constraint holds, ellipse_program's margins at x for
+    theta = _theta(x), lam = x[5:]."""
+    verts, outer = pair.inner.vertices, pair.outer
+    h = np.hstack([verts, np.ones((len(verts), 1))])
+    blocks = theta - lam[:, None, None] * _facet_forms(outer.normals, outer.offsets)
+    facets = np.linalg.eigvalsh(blocks)[~_vacuous(outer), 0]
+    return -np.einsum("va,ab,vb->v", h, theta, h), lam, facets
+
+
 def certify(pair: SandwichPair, e: Ellipse, tol: float = 1e-7) -> EllipseCheck:
-    """Re-check the three certificate constraint families at tolerance tol."""
+    """Re-check the three certificate constraint families at tolerance tol, the
+    vertex, facet and multiplier ones by _margins (no block for a vacuous facet)."""
     a = e.a_form
     trace_error = abs(float(np.trace(a)) - 1.0)
     psd_violation = max(0.0, -linalg.min_eig(a))
-    vertex_violation = max(
-        (max(0.0, e.evaluate(x)) for x in pair.inner.vertices), default=0.0
-    )
-    normals, offsets = pair.outer.normals, pair.outer.offsets
-    if e.multipliers.size != offsets.size:
+    if e.multipliers.size != pair.outer.offsets.size:
         raise InputError("multiplier count does not match the outer inequality count")
-    forms = _facet_forms(normals, offsets)
-    facet_min = linalg.eig_extremes(e.theta - e.multipliers[:, None, None] * forms,
-                                    name="facet block")[0]
-    facet_violation = max(0.0, -float(np.min(facet_min, initial=0.0)))
-    multiplier_violation = max(0.0, -float(np.min(e.multipliers, initial=0.0)))
-    passed = (
-        trace_error <= tol
-        and psd_violation <= tol
-        and vertex_violation <= tol
-        and facet_violation <= tol
-        and multiplier_violation <= tol
-    )
+    rows, lam, facets = _margins(pair, e.theta, e.multipliers)
+    vertex_violation, multiplier_violation, facet_violation = (
+        max(0.0, -float(np.min(g, initial=0.0))) for g in (rows, lam, facets))
+    worst = max(trace_error, psd_violation, vertex_violation, facet_violation, multiplier_violation)
     return EllipseCheck(trace_error, psd_violation, vertex_violation,
-                        facet_violation, multiplier_violation, passed)
+                        facet_violation, multiplier_violation, worst <= tol)
 
 
 def _theta(x) -> np.ndarray:
     """Theta at variables (u, a12, b1, b2, c, ..): trace 1 in its quadratic part."""
     u, a12, b1, b2, c = x[:5]
     return np.array([[0.5 + u, a12, b1], [a12, 0.5 - u, b2], [b1, b2, c]])
+
+
+# (6, 3, 3): Theta's constant term, then d Theta / d (u, a12, b1, b2, c)
+_THETA_COEFFS = np.array([_theta(e) for e in np.eye(6, 5, -1)])
+_THETA_COEFFS[1:] -= _THETA_COEFFS[0]
 
 
 def ellipse_program(pair: SandwichPair) -> sdp.SdpProblem:
@@ -226,7 +240,8 @@ def ellipse_program(pair: SandwichPair) -> sdp.SdpProblem:
     block, and a psd facet block (minus tau I, in the margin program)
     makes A (minus tau I) psd. A PolyhedronH has at least one facet, so
     the program has two groups: the 1x1 vertex rows and multiplier signs,
-    and the 3x3 facet blocks.
+    and the 3x3 facet blocks. A vacuous facet's block is Theta itself, never
+    psd: decide builds the program on the _frame pair, which has none.
     """
     verts = pair.inner.vertices
     normals, offsets = pair.outer.normals, pair.outer.offsets
@@ -234,10 +249,6 @@ def ellipse_program(pair: SandwichPair) -> sdp.SdpProblem:
         raise InputError("ellipse program needs a planar pair")
     f = normals.shape[0]
     n = 5 + f
-
-    # (6, 3, 3): Theta's constant term, then d Theta / d (u, a12, b1, b2, c)
-    tc = np.array([_theta(e) for e in np.eye(6, 5, -1)])
-    tc[1:] -= tc[0]
     v, j = len(verts), np.arange(f)
 
     # 1x1 group: the vertex rows q(x) = <Theta, h h^T> <= 0 with h = (x, 1),
@@ -245,19 +256,15 @@ def ellipse_program(pair: SandwichPair) -> sdp.SdpProblem:
     h = np.hstack([verts, np.ones((v, 1))])
     quads = (h[:, :, None] * h[:, None, :]).reshape(v, 9)
     rows = np.zeros((n + 1, v + f, 1, 1))
-    rows[:6, :v, 0, 0] = -(quads @ tc.reshape(6, 9).T).T
+    rows[:6, :v, 0, 0] = -(quads @ _THETA_COEFFS.reshape(6, 9).T).T
     rows[6 + j, v + j] = 1.0
 
     # 3x3 group: the facet blocks Theta - lam_j F_j
     facets = np.zeros((n + 1, f, 3, 3))
-    facets[:6] = tc[:, None]
+    facets[:6] = _THETA_COEFFS[:, None]
     facets[6 + j, j] = -_facet_forms(normals, offsets)
 
     return sdp.SdpProblem(n=n, blocks=[rows, facets])
-
-
-def _solution_to_ellipse(x: np.ndarray) -> Ellipse:
-    return Ellipse(_theta(x), np.clip(x[5:], 0.0, None))
 
 
 # variance floor of the whitening frame, relative to the total vertex
@@ -266,26 +273,27 @@ FRAME_RIDGE = 1e-2
 
 
 def _frame(pair: SandwichPair):
-    """(framed pair, h, s): the pair under the diagonal map y = d * x, each
-    facet divided by the length s_j of its new normal.
+    """(framed pair, h, s, keep): the pair, less its vacuous facets, under the
+    map y = d * x, facet j of keep divided by the length s_j of its normal.
 
     The vertices of a polytopes_from_matrix pair are centered on
     uncorrelated axes, so with v_k the mean of x_k^2 over the vertices,
     d_k = (v_k + FRAME_RIDGE sum(v))^-1/2 whitens them, and h = diag(d, 1)
     maps (x, 1) to (y, 1), so a framed form Theta' pulls back to
-    h Theta' h. A facet whose normal is numerically zero (a constant column:
-    the halfplane is the whole plane) keeps s_j = 1.
+    h Theta' h. A facet whose normal alone is numerically zero (a constant
+    column: the halfplane is the whole plane) keeps s_j = 1.
     """
     verts = pair.inner.vertices
     var = np.mean(verts * verts, axis=0)
     d = 1.0 / np.sqrt(var + FRAME_RIDGE * var.sum())
+    keep = ~_vacuous(pair.outer)
     # a . x <= b reads (a / d) . y <= b
-    normals = pair.outer.normals / d
-    offsets = pair.outer.offsets
+    normals = pair.outer.normals[keep] / d
+    offsets = pair.outer.offsets[keep]
     s = np.linalg.norm(normals, axis=1)
     s = np.where(s > DEFAULT_TOL * np.abs(offsets), s, 1.0)
     framed = SandwichPair(PolytopeV(verts * d), PolyhedronH(normals / s[:, None], offsets / s))
-    return framed, np.diag(np.append(d, 1.0)), s
+    return framed, np.diag(np.append(d, 1.0)), s, keep
 
 
 def _circle_candidate(framed: SandwichPair) -> np.ndarray:
@@ -295,11 +303,10 @@ def _circle_candidate(framed: SandwichPair) -> np.ndarray:
     A facet g . y <= h with |g| = 1 leaves its block the Schur complement
     (h^2 - R^2)/2 - (lam - h)^2/2 of the leading I/2, largest at lam = h.
     A facet with a numerically zero normal has corner lam h - R^2/2, which
-    lam = (1/2 + R^2/2)/h sets to 1/2; a zero offset (a zero column) admits
-    no lam and keeps lam = 0. R^2 sits midway between the largest squared
-    vertex norm and the smallest squared offset of a unit-normal facet, so
-    the vertex rows and those Schur complements all get at least a quarter
-    of the gap between the two.
+    lam = (1/2 + R^2/2)/h sets to 1/2; a nonpositive offset keeps lam = 0.
+    R^2 sits midway between the largest squared vertex norm and the
+    smallest squared offset of a unit-normal facet, so the vertex rows and
+    those Schur complements all get at least a quarter of that gap.
     """
     verts = framed.inner.vertices
     normals, offsets = framed.outer.normals, framed.outer.offsets
@@ -315,20 +322,20 @@ def decide_psd_rank_le_2(m):
     Matrices of usual rank <= 2 are a yes without a certificate (psd rank is
     at most the rank); rank >= 4 is a no since a size-2 factorization forces
     rank <= 3. The rank-3 core builds the planar pair of polytopes_from_matrix
-    and its ellipse containment program on the pair's _frame, where the
-    vertices have about unit spread and every facet a unit normal; near the
-    boundary of the psd-rank-2 region the raw pair's scales leave the margin
-    and the dual both short of a decision. In that frame a centered circle
-    often fits (_circle_candidate): when its program margins reach
-    sdp.DECISIVE, the margin at which solve's path stops as feasible, it is
-    the framed answer and solve is not called. Otherwise solve decides.
+    and works on its _frame, without vacuous facets, where the vertices have
+    about unit spread and every facet a unit normal; near the boundary of
+    the psd-rank-2 region the raw pair's scales leave the margin and the
+    dual both short of a decision. In that frame a centered circle often
+    fits (_circle_candidate): when its _margins reach sdp.DECISIVE, the
+    margin at which solve's path stops as feasible, it is the framed answer
+    and no program is built. Otherwise solve decides the ellipse_program.
     A framed ellipse Theta' with multipliers lambda' maps back to
-    Theta = h Theta' h and lambda_j = lambda'_j / s_j, divided by the trace
-    of the quadratic part, so the certificate is for the pair
-    polytopes_from_matrix(m) itself. A yes, from the circle or from solve,
-    is returned only once certify passes on that pair; a certificate that
-    fails it, as a solver margin inside FEAS_TOL can after the back-map,
-    raises NumericalFailure like an undecided program.
+    Theta = h Theta' h and lambda_j = lambda'_j / s_j (0 on a vacuous
+    facet), divided by the trace of the quadratic part, so the certificate
+    is for the pair polytopes_from_matrix(m) itself. A yes, from the circle
+    or from solve, is returned only once certify passes on that pair; a
+    certificate that fails it, as a solver margin inside FEAS_TOL can after
+    the back-map, raises NumericalFailure like an undecided program.
     """
     mm = linalg.as_matrix(m)
     r = linalg.numerical_rank(mm)
@@ -338,27 +345,23 @@ def decide_psd_rank_le_2(m):
         return False, None
 
     pair = polytopes_from_matrix(mm)
-    framed, h, s = _frame(pair)
-    program = ellipse_program(framed)
+    framed, h, s, keep = _frame(pair)
     x = _circle_candidate(framed)
-    if program.margins(x).min() < sdp.DECISIVE:
-        sol = sdp.solve(program)
+    if np.concatenate(_margins(framed, _theta(x), x[5:])).min() < sdp.DECISIVE:
+        sol = sdp.solve(ellipse_program(framed))
         if sol.status == "infeasible":
             return False, None
         if sol.status != "feasible":
-            raise NumericalFailure(
-                f"ellipse program undecided (margin {sol.margin}, gap {sol.gap})"
-            )
+            raise NumericalFailure(f"ellipse program undecided (margin {sol.margin}, gap {sol.gap})")
         x = sol.x
-    e = _solution_to_ellipse(x)
-    theta = h @ e.theta @ h
+    theta = h @ _theta(x) @ h
     tr = float(np.trace(theta[:2, :2]))
-    ellipse = Ellipse(theta / tr, e.multipliers / s / tr)
+    lam = np.zeros(keep.size)
+    lam[keep] = np.clip(x[5:], 0.0, None) / s / tr
+    ellipse = Ellipse(theta / tr, lam)
     check = certify(pair, ellipse)
     if not check.passed:
-        raise NumericalFailure(
-            f"ellipse certificate fails its re-check (worst {check.worst:.2e})"
-        )
+        raise NumericalFailure(f"ellipse certificate fails its re-check (worst {check.worst:.2e})")
     return True, ellipse
 
 
@@ -388,8 +391,7 @@ def _psd_section_maps(e: Ellipse):
     t_aff[:2, 2] = center
     t_aff[2, 2] = 1.0
     perm = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    fwd = t_aff @ perm  # applied after the section map
-    return fwd
+    return t_aff @ perm  # applied after the section map
 
 
 def _sections(w):

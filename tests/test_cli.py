@@ -116,6 +116,18 @@ class TestRank2AndExtract:
         assert rep.passed and rep.max_residual <= 1e-9
         assert f.k == 2
 
+    def test_zero_column_yes_round_trips_through_extract_and_verify(self, tmp_path, capsys):
+        # the zero column is a facet 0 . x <= 0 that holds on the whole plane
+        m = np.hstack([families.circulant3(1.0, 1.3, 0.4), np.zeros((3, 1))])
+        mpath = write_matrix(tmp_path, m)
+        epath, fpath = str(tmp_path / "ellipse.json"), str(tmp_path / "fact.json")
+        code, doc = run(capsys, ["rank2", mpath, "-o", epath])
+        assert code == 0 and doc["psd_rank_le_2"] is True
+        code, _ = run(capsys, ["extract-fact", mpath, epath, "-o", fpath])
+        assert code == 0
+        code, doc = run(capsys, ["verify", mpath, fpath])
+        assert code == 0 and doc["passed"] is True
+
     def test_no_answer_exits_one(self, tmp_path, capsys):
         mpath = write_matrix(tmp_path, np.eye(3))
         epath = str(tmp_path / "e.json")

@@ -49,6 +49,49 @@ class TestMatrixCodec:
         with pytest.raises(InputError):
             formats.decode_matrix({"rows": 1, "cols": 1, "data": [[[1.0, 2.0, 3.0]]]})
 
+    @pytest.mark.parametrize("m", [
+        np.array([[1.0, -2.5e-300], [3.0e300, 0.1]]),
+        np.array([[1, -2], [2 ** 62, 0]]),
+        np.array([[True, False]]),
+        np.array([[-0.0, 0.0], [1.0, -0.0]]),
+        np.array([[1.0 + 0.0j, -0.0 - 0.0j], [2.0 + 1e-300j, -3.0 - 4.5j]]),
+        np.array([[1.0 + 2.0j, 3.0]], dtype=np.complex64),
+    ], ids=["float", "int", "bool", "negative-zero", "complex", "complex64"])
+    def test_round_trip_matches_the_entry_by_entry_codec(self, m):
+        def entry_out(x):
+            re, im = float(np.real(x)), float(np.imag(x))
+            return [re, im] if np.iscomplexobj(x) and im != 0.0 else re
+
+        def entry_in(x):
+            return complex(*x) if isinstance(x, list) else float(x)
+
+        text = json.dumps(formats.encode_matrix(m))
+        assert text == json.dumps({"rows": m.shape[0], "cols": m.shape[1],
+                                   "data": [[entry_out(x) for x in row] for row in m]})
+        doc = json.loads(text)
+        out = formats.decode_matrix(doc)
+        want = np.array([[entry_in(x) for x in row] for row in doc["data"]])
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("data, message", [
+        ([[float("nan"), 1.0]], "entries must be finite"),
+        ([[1.0, float("inf")]], "entries must be finite"),
+        ([["1.5", 1.0]], "entries must be numbers or \\[re, im\\] pairs"),
+        ([[1.0, None]], "entries must be numbers or \\[re, im\\] pairs"),
+        ([[1.0, 2.0], [3.0]], "row 1 must have 2 entries"),
+        ([[1.0, [1.0, 2.0, 3.0]], [1.0, 2.0]], "entries must be numbers or \\[re, im\\] pairs"),
+        ([[1.0, [1.0, float("nan")]], [1.0, 2.0]], "entries must be finite"),
+    ], ids=["nan", "infinity", "string", "null", "ragged", "mixed-bad-pair", "mixed-nan-pair"])
+    def test_refusals_keep_their_messages(self, data, message):
+        with pytest.raises(InputError, match=f"m: {message}"):
+            formats.decode_matrix({"rows": len(data), "cols": 2, "data": data}, "m")
+
+    def test_rows_mixing_numbers_and_pairs_decode_entry_by_entry(self):
+        doc = {"rows": 2, "cols": 2, "data": [[1.0, [2.0, -1.0]], [3, True]]}
+        out = formats.decode_matrix(doc)
+        assert out.dtype == complex
+        assert np.array_equal(out, [[1.0, 2.0 - 1.0j], [3.0, 1.0]])
+
     def test_missing_keys(self):
         with pytest.raises(InputError, match="rows, cols, data"):
             formats.decode_matrix({"rows": 1, "data": [[1.0]]})

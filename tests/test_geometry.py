@@ -167,6 +167,20 @@ class TestCertify:
         assert not chk.passed
         assert max(chk.facet_violation, chk.multiplier_violation) > 0.0
 
+    def test_vacuous_facet_checks_only_its_multiplier_sign(self):
+        # a facet 0 . x <= 0 is the whole plane; its block would be Theta itself
+        base = centered_square_pair()
+        pair = SandwichPair(base.inner, PolyhedronH(np.vstack([base.outer.normals, [0.0, 0.0]]),
+                                                    np.append(base.outer.offsets, 0.0)))
+        lams = compute_multipliers(base, CIRCLE_FORM)
+        assert geometry.certify(pair, Ellipse(CIRCLE_FORM, np.append(lams, 0.0))).passed
+        chk = geometry.certify(pair, Ellipse(CIRCLE_FORM, np.append(lams, -1.0)))
+        assert not chk.passed and chk.multiplier_violation == 1.0
+
+    def test_nonfinite_multipliers_rejected(self):
+        with pytest.raises(InputError, match="multipliers must be finite"):
+            Ellipse(CIRCLE_FORM, [0.0, np.nan, 0.0, 0.0])
+
     def test_evaluate_sign_convention(self):
         e = Ellipse(CIRCLE_FORM, np.zeros(4))
         assert e.evaluate([0.0, 0.0]) < 0.0
@@ -191,7 +205,7 @@ class TestEllipseProgram:
         rng = np.random.default_rng(3)
         for x in rng.standard_normal((5, program.n)):
             rows, facets = program.block_values(x)
-            e = geometry._solution_to_ellipse(x)
+            e = Ellipse(geometry._theta(x), x[5:])
             assert abs(np.trace(e.a_form) - 1.0) <= 1e-12
             # the leading 2x2 of every facet block is A itself
             assert facets.shape == (f, 3, 3)
@@ -203,6 +217,22 @@ class TestEllipseProgram:
             assert np.allclose(rows[:v, 0, 0], [-e.evaluate(p) for p in pair.inner.vertices],
                                atol=1e-12)
             assert np.array_equal(rows[v:, 0, 0], x[5:])
+
+    @pytest.mark.parametrize("pair", [
+        geometry.polytopes_from_matrix(families.circulant3(1.0, 1.3, 0.4)),
+        geometry.polytopes_from_matrix(families.nested_rectangles(0.6, 0.3)),
+        nested_rectangles_pair(0.6, 0.3),
+    ], ids=["circulant3", "nested-rectangles", "nested-rectangles-pair"])
+    def test_margins_match_the_program(self, pair):
+        program = geometry.ellipse_program(pair)
+        v = len(pair.inner.vertices)
+        rng = np.random.default_rng(27)
+        for x in rng.standard_normal((8, program.n)):
+            ones, threes = np.split(program.margins(x), [v + program.n - 5])
+            rows, lam, facets = geometry._margins(pair, geometry._theta(x), x[5:])
+            for got, want in ((np.concatenate([rows, lam]), ones), (facets, threes)):
+                assert np.allclose(np.sort(got), np.sort(want),
+                                   rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     def test_facet_forms_read_the_halfplanes(self):
         # <F_j, (x, 1)(x, 1)^T> = g_j . x - h_j, facet by facet
@@ -216,8 +246,8 @@ class TestEllipseProgram:
 
     def test_origin_is_the_half_identity(self):
         pair = geometry.polytopes_from_matrix(families.circulant3(1.0, 1.3, 0.4))
-        e = geometry._solution_to_ellipse(np.zeros(geometry.ellipse_program(pair).n))
-        assert np.array_equal(e.theta, np.diag([0.5, 0.5, 0.0]))
+        theta = geometry._theta(np.zeros(geometry.ellipse_program(pair).n))
+        assert np.array_equal(theta, np.diag([0.5, 0.5, 0.0]))
 
 
 class TestDecide:
@@ -290,6 +320,34 @@ class TestDecide:
         assert factors.verify(m, geometry.factorization_from_ellipse(m, pair, e)).passed
 
 
+ZERO_COLUMN = np.hstack([families.circulant3(1.0, 1.3, 0.4), np.zeros((3, 1))])
+
+
+class TestVacuousFacet:
+    # a zero column is the facet 0 . x <= 0; psd rank 2 like the matrix without it
+    @pytest.mark.parametrize("m", [
+        ZERO_COLUMN,
+        np.hstack([np.zeros((4, 1)), families.nested_rectangles(0.75, 0.3)]),
+    ], ids=["circle", "solver"])
+    def test_zero_column_keeps_the_answer_yes(self, m):
+        ans, e = geometry.decide_psd_rank_le_2(m)
+        assert ans is True
+        pair = geometry.polytopes_from_matrix(m)
+        zero = np.flatnonzero(~m.any(axis=0))
+        assert geometry._vacuous(pair.outer).nonzero()[0].tolist() == zero.tolist()
+        assert np.all(e.multipliers[zero] == 0.0)
+        assert geometry.certify(pair, e).passed
+        assert factors.verify(m, geometry.factorization_from_ellipse(m, pair, e)).passed
+        kept = np.delete(m, zero, axis=1)
+        assert geometry.decide_psd_rank_le_2(kept)[0] is True
+
+    def test_frame_drops_vacuous_facets(self):
+        pair = geometry.polytopes_from_matrix(ZERO_COLUMN)
+        framed, _, s, keep = geometry._frame(pair)
+        assert keep.tolist() == [True, True, True, False]
+        assert framed.outer.offsets.size == s.size == 3
+
+
 def circle_margin(m):
     """Smallest program margin of the framed pair's centered circle."""
     framed = geometry._frame(geometry.polytopes_from_matrix(m))[0]
@@ -300,12 +358,14 @@ class TestCirclePrecheck:
     @pytest.mark.parametrize("m", [
         families.circulant3(1.0, 1.5, 1.2),
         np.hstack([families.circulant3(1.0, 1.3, 0.4), np.ones((3, 1))]),
-    ], ids=["circulant", "constant-column"])
+        ZERO_COLUMN,
+    ], ids=["circulant", "constant-column", "zero-column"])
     def test_fitting_circle_decides_without_the_solver(self, m, monkeypatch):
-        def refuse(problem):
-            raise AssertionError("sdp.solve called on a cell the circle decides")
+        def refuse(*args):
+            raise AssertionError("solver path taken on a cell the circle decides")
 
         monkeypatch.setattr(sdp, "solve", refuse)
+        monkeypatch.setattr(geometry, "ellipse_program", refuse)
         ans, e = geometry.decide_psd_rank_le_2(m)
         assert ans is True
         pair = geometry.polytopes_from_matrix(m)
@@ -315,10 +375,7 @@ class TestCirclePrecheck:
     @pytest.mark.parametrize("m, expected", [
         (families.circulant3(1.0, 0.1, 0.1), False),
         (families.nested_rectangles(0.75, 0.3), True),
-        # a zero column: a facet 0 <= 0 that no circle multiplier can absorb;
-        # only the path to the solver is checked here, not the answer
-        (np.hstack([families.circulant3(1.0, 1.3, 0.4), np.zeros((3, 1))]), None),
-    ], ids=["circulant-no", "rectangle-yes", "zero-column"])
+    ], ids=["circulant-no", "rectangle-yes"])
     def test_other_cells_reach_the_solver(self, m, expected, monkeypatch):
         calls = []
         solve = sdp.solve
@@ -326,8 +383,7 @@ class TestCirclePrecheck:
         assert circle_margin(m) < sdp.DECISIVE
         ans, _ = geometry.decide_psd_rank_le_2(m)
         assert calls == [1]
-        if expected is not None:
-            assert ans is expected
+        assert ans is expected
 
     @pytest.mark.parametrize("family", ["circulant3", "nested_rectangles"])
     def test_circle_decides_only_strictly_feasible_cells(self, family):
