@@ -19,7 +19,8 @@ then imports psdrank from that checkout's src/ and records:
       one more, counted run of each (a rank-3 cell that reaches neither was
       decided by the closed-form circle);
     - how many intervals of a fixed list `psd_rank_interval` closes
-      (see closed_interval_list).
+      (see closed_interval_list), and the wall time of its calls, per
+      group of the list and in total.
 
     python3 scripts/bench_record.py --probe DIR
 prints the probe's JSON for one checkout.
@@ -152,8 +153,11 @@ def probe(checkout):
 
     groups = {}
     for group, label, m in closed_interval_list():
+        t0 = time.perf_counter()
         iv = bounds.psd_rank_interval(m)
-        g = groups.setdefault(group, {"members": 0, "closed": 0, "open_width": 0, "open": {}})
+        g = groups.setdefault(group, {"members": 0, "closed": 0, "open_width": 0,
+                                      "wall_s": 0.0, "open": {}})
+        g["wall_s"] += time.perf_counter() - t0
         g["members"] += 1
         if iv.lower == iv.upper:
             g["closed"] += 1
@@ -161,7 +165,8 @@ def probe(checkout):
             g["open_width"] += iv.upper - iv.lower
             if group != "random-pair":
                 g["open"][label] = [iv.lower, iv.upper]
-    total = {k: sum(g[k] for g in groups.values()) for k in ("members", "closed", "open_width")}
+    total = {k: sum(g[k] for g in groups.values())
+             for k in ("members", "closed", "open_width", "wall_s")}
     return {"src_lines": lines, "region_cli_main": region,
             "closed_intervals": {"total": total, "groups": groups}}
 

@@ -1,12 +1,12 @@
 """Certified bounds on psd rank and the exact square-root rank search.
 
 Lower bounds come from the usual-rank inequality rank <= k(k+1)/2 and from
-zero-pattern block splits; upper bounds from min(p, q), the distinct-entry
-count, Hadamard square roots, and explicit family factorizations. The
-square-root rank is found by a sign search over row prefixes: the signs on
-a spanning forest of the nonzero bipartite graph are fixed to plus, and a
-prefix is dropped as soon as its singular values rule out every completion
-(see sqrt_rank_exact).
+zero-pattern block splits; upper bounds from min(p, q), the all-plus
+Hadamard square root, signed square roots, and explicit family
+factorizations. The square-root rank is found by a sign search over row
+prefixes below the all-plus root's rank: the signs on a spanning forest of
+the nonzero bipartite graph are fixed to plus, and a prefix is dropped as
+soon as its singular values rule out every completion (see sqrt_rank_exact).
 
 psd_rank_lower and psd_rank_interval first drop zero rows and columns and
 keep one row (column) of each set of positive multiples; neither step
@@ -14,8 +14,7 @@ changes the psd rank. psd_rank_upper and sqrt_rank_exact bound m as given.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from math import comb
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,15 +25,12 @@ from .linalg import DEFAULT_TOL, rank_to_min_size
 
 # free sign bits the square-root rank search may enumerate by default
 SQRT_BUDGET = 20
-# entries closer than this count as one value in the distinct-entry bound
-VALUE_EPS = 1e-9
 
 
 @dataclass(frozen=True)
 class BoundOptions:
     tol: float = DEFAULT_TOL
     sqrt_budget: int = SQRT_BUDGET
-    use_sqrt: bool = True
 
 
 # the lower-bound search evaluates at most this many distinct blocks and
@@ -340,8 +336,14 @@ def psd_rank_upper(m, opts: BoundOptions | None = None):
     mm = linalg.as_nonnegative(m, opts.tol)
     r = linalg.numerical_rank(mm, opts.tol)
     candidates = _cheap_upper_candidates(mm, r, opts.tol)
-    if opts.use_sqrt and min(v for v, _ in candidates) > rank_to_min_size(r):
-        candidates += _sqrt_candidates(mm, opts)
+    if min(v for v, _ in candidates) > rank_to_min_size(r):
+        try:
+            res = sqrt_rank_exact(mm, budget=opts.sqrt_budget, tol=opts.tol)
+        except ResourceError:
+            pass  # past the budget the cheap candidates stand
+        else:
+            candidates.append((res.value, {"kind": "sqrt-rank", "value": int(res.value),
+                                           "patterns": res.patterns_searched}))
     value, cert = min(candidates, key=lambda t: t[0])
     return int(value), cert
 
@@ -364,23 +366,10 @@ def _cheap_upper_candidates(mm, r, tol):
         candidates.append((r, {"kind": "rank-bound", "argument": "rank <= 2 is exact",
                                "value": int(r)}))
 
-    snapped = np.round(mm / VALUE_EPS) * VALUE_EPS
-    distinct = np.unique(snapped[snapped > 0]).size + (1 if np.any(snapped <= 0) else 0)
-    if distinct >= 1:
-        barv = comb(distinct - 1 + r, distinct - 1)
-        candidates.append((barv, {"kind": "barvinok", "distinct": int(distinct),
-                                  "rank": int(r), "value": int(barv)}))
+    _, root_rank = _all_plus_root(mm, tol)
+    candidates.append((root_rank, {"kind": "sqrt-rank", "argument": "all-plus root",
+                                   "value": root_rank}))
     return candidates
-
-
-def _sqrt_candidates(mm, opts):
-    """The square-root rank as an upper candidate, if its search fits the budget."""
-    try:
-        res = sqrt_rank_exact(mm, budget=opts.sqrt_budget, tol=opts.tol)
-    except ResourceError:
-        return []
-    return [(res.value, {"kind": "sqrt-rank", "value": int(res.value),
-                         "patterns": res.patterns_searched})]
 
 
 def _derangement_like(mm, tol):
@@ -406,53 +395,43 @@ def sqrt_rank_exact(m, budget: int = SQRT_BUDGET, tol: float = DEFAULT_TOL) -> S
     """Minimum rank over all Hadamard square roots, by a sign search over
     row prefixes that prunes on rank.
 
-    Scaling rows and columns by -1 preserves rank, so the signs along a
-    spanning forest of the nonzero bipartite graph are fixed to plus; only
-    the remaining nonzero entries, the free bits, take either sign. For each
-    target r from rank_to_min_size(rank m) up to min(p, q) - 1, _first_root
-    extends row prefixes one row at a time by every sign choice of that
-    row's free bits and drops a prefix once more than r of its singular
-    values exceed tol * max(p, q) * ||base||_F. The cutoff is sound: every
-    signed root W has sigma_max(W) <= ||W||_F = ||base||_F, and adding rows
-    never lowers a singular value (interlacing), so no completion of a
-    dropped prefix passes the test a full matrix must pass: at most r
-    singular values above tol * max(p, q) * sigma_max(W). So the first
-    target whose search finds a full matrix that passes is the value, and
-    that matrix the witness; when no target passes, the value is min(p, q)
-    with the all-plus root.
+    The all-plus root is the first witness, and the search tries only the
+    targets below its rank. Scaling rows and columns by -1 preserves rank,
+    so the signs along a spanning forest of the nonzero bipartite graph are
+    fixed to plus; only the remaining nonzero entries, the free bits, take
+    either sign. For each target r from rank_to_min_size(rank m) up to the
+    all-plus root's rank minus one, _first_root extends row prefixes one row
+    at a time by every sign choice of that row's free bits and drops a
+    prefix once more than r of its singular values exceed
+    tol * max(p, q) * ||base||_F. The cutoff is sound: every signed root W
+    has sigma_max(W) <= ||W||_F = ||base||_F, and adding rows never lowers a
+    singular value (interlacing), so no completion of a dropped prefix
+    passes the test a full matrix must pass: at most r singular values
+    above tol * max(p, q) * sigma_max(W). So the first target whose search
+    finds a full matrix that passes is the value, and that matrix the
+    witness; when no target passes, the all-plus root stands.
 
     patterns_searched counts the prefixes evaluated. It is far below
     2**(free bits) when the rank prunes early, and can exceed it when
-    nothing prunes (derangement(6): 19 free bits, 559 104 prefixes). The
-    witness rank is recomputed in exact integer arithmetic when every entry
-    is a perfect square.
+    nothing prunes (derangement(6): 19 free bits, 559 104 prefixes). A
+    witness rank below min(p, q) is recomputed in exact integer arithmetic
+    when every entry is an integer.
     """
     mm = linalg.as_nonnegative(m, tol)
-    p, q = mm.shape
-    support = _support(mm, tol)
-    base = np.where(support, np.sqrt(np.clip(mm, 0.0, None)), 0.0)
-    nz = np.argwhere(support)
-    if nz.size == 0:
-        return SqrtRankResult(0, np.zeros_like(mm), 1)
-
-    free = np.array(_non_forest_edges(support, nz), dtype=int).reshape(-1, 2)
+    base, value = _all_plus_root(mm, tol)
+    free = np.array(_non_forest_edges(base > 0), dtype=int).reshape(-1, 2)
     if len(free) > budget:
         raise ResourceError(f"sign search needs {len(free)} free bits; budget is {budget}")
 
-    value, flips, searched = min(p, q), np.zeros((1, len(free)), dtype=bool), 0
-    for r in range(rank_to_min_size(linalg.numerical_rank(mm, tol)), min(p, q)):
+    witness, searched = base, 0
+    for r in range(rank_to_min_size(linalg.numerical_rank(mm, tol)), value):
         found, evaluated = _first_root(base, free, r, tol)
         searched += evaluated
         if found is not None:
-            value, flips = found
+            rank, flips = found
+            witness = _signed(base, free, flips)[0]
+            value = _checked_rank(witness, rank)
             break
-    witness = _signed(base, free, flips)[0]
-
-    exact = _exact_rank_if_integral(witness, tol)
-    if exact is not None and exact != value:
-        raise NumericalFailure(
-            f"witness rank disagrees between floating point ({value}) and exact ({exact})"
-        )
     return SqrtRankResult(value, witness, searched)
 
 
@@ -510,7 +489,7 @@ def _signed(rows, free, flips):
     return out
 
 
-def _non_forest_edges(support, nz):
+def _non_forest_edges(support):
     """Nonzero positions not on a spanning forest of the row/column graph."""
     p, q = support.shape
     parent = list(range(p + q))
@@ -522,7 +501,7 @@ def _non_forest_edges(support, nz):
         return a
 
     free = []
-    for i, j in nz:
+    for i, j in np.argwhere(support):
         ra, rb = find(int(i)), find(int(p + j))
         if ra == rb:
             free.append((int(i), int(j)))
@@ -531,13 +510,26 @@ def _non_forest_edges(support, nz):
     return free
 
 
-def _exact_rank_if_integral(witness, tol):
-    """Bareiss rank when all witness entries are integers, else None."""
+def _all_plus_root(mm, tol):
+    """(root, rank): sqrt(m) on the support of m with every sign plus, and
+    its rank under the test sqrt_rank_exact applies to a full signed root."""
+    root = np.where(_support(mm, tol), np.sqrt(mm), 0.0)
+    return root, _checked_rank(root, linalg.numerical_rank(root, tol))
+
+
+def _checked_rank(witness, rank):
+    """rank, after a Bareiss re-check when it is below min(p, q) and every
+    witness entry is an integer; NumericalFailure when the two disagree."""
     rounded = np.round(witness)
-    if np.max(np.abs(witness - rounded)) > 1e-12 * (1 + np.max(np.abs(witness), initial=0.0)):
-        return None
-    rows = [[int(x) for x in row] for row in rounded]
-    return linalg.exact_int_rank(rows)
+    if rank >= min(witness.shape) or \
+            np.max(np.abs(witness - rounded)) > 1e-12 * (1 + np.max(np.abs(witness))):
+        return rank
+    exact = linalg.exact_int_rank([[int(x) for x in row] for row in rounded])
+    if exact != rank:
+        raise NumericalFailure(
+            f"witness rank disagrees between floating point ({rank}) and exact ({exact})"
+        )
+    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +547,7 @@ def psd_rank_interval(m, opts: BoundOptions | None = None) -> RankInterval:
     program is recorded with answer None and its reason and leaves the
     interval to the other bounds. The upper and ellipse certificates record
     the rows and columns of m they were built from. The square-root rank
-    sign search runs only when the interval is still open and the lower
-    bound sits below the best cheap upper bound.
+    sign search runs only while the interval is still open.
     """
     opts = opts or BoundOptions()
     mm = linalg.as_nonnegative(m, opts.tol)
@@ -567,11 +558,11 @@ def psd_rank_interval(m, opts: BoundOptions | None = None) -> RankInterval:
 
     kept = {"rows": rows.tolist(), "cols": cols.tolist()}
     lo, lo_cert = psd_rank_lower(mm, opts, _kept=(rows, cols))
-    up, up_cert = psd_rank_upper(block, replace(opts, use_sqrt=False))
+    r = linalg.numerical_rank(block, opts.tol)
+    up, up_cert = min(_cheap_upper_candidates(block, r, opts.tol), key=lambda t: t[0])
     certs = [lo_cert, {**up_cert, **kept}]
 
     # rank <= 2 is exact; the cheap upper bound already carries that certificate
-    r = linalg.numerical_rank(block, opts.tol)
     if r <= 2:
         return RankInterval(int(r), int(r), tuple(certs))
 
@@ -589,10 +580,11 @@ def psd_rank_interval(m, opts: BoundOptions | None = None) -> RankInterval:
             certs.append(found)
             lo = max(lo, 3)
 
-    if opts.use_sqrt and lo < up:
-        for value, cert in _sqrt_candidates(block, opts):
-            if value < up:
-                up, certs[1] = value, {**cert, **kept}
+    if lo < up:
+        # lo < up puts up above rank_to_min_size(r), so this runs the sign search
+        value, cert = psd_rank_upper(block, opts)
+        if value < up:
+            up, certs[1] = value, {**cert, **kept}
 
     up = max(up, lo)
     return RankInterval(int(lo), int(up), tuple(certs))

@@ -22,16 +22,21 @@ _FIELDS = ("real", "hermitian")
 
 def _entry_in(x, where):
     if isinstance(x, (int, float)):
-        v = float(x)
-        if not math.isfinite(v):
-            raise InputError(f"{where}: entries must be finite")
-        return v
+        return _finite(x, where)
     if isinstance(x, list) and len(x) == 2 and all(isinstance(t, (int, float)) for t in x):
-        re, im = float(x[0]), float(x[1])
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise InputError(f"{where}: entries must be finite")
-        return complex(re, im)
+        return complex(_finite(x[0], where), _finite(x[1], where))
     raise InputError(f"{where}: entries must be numbers or [re, im] pairs")
+
+
+def _finite(x, where) -> float:
+    """float(x), refusing NaN, infinity and integers too large for a float."""
+    try:
+        v = float(x)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise InputError(f"{where}: entries must be finite")
+    return v
 
 
 def _items(x, what: str) -> list:

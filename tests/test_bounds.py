@@ -3,8 +3,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from psdrank import bounds, families, geometry, linalg, sdp
-from psdrank.bounds import BoundOptions, RankInterval
+from psdrank import bounds, factors, families, geometry, linalg, sdp
+from psdrank.bounds import RankInterval
 from psdrank.errors import InputError, NumericalFailure, ResourceError
 
 
@@ -78,15 +78,6 @@ class TestUpper:
         value, _ = bounds.psd_rank_upper(rng.random((2, 7)))
         assert value <= 2
 
-    def test_barvinok_counts_distinct_entries(self):
-        # 6x6 zero-one matrix of rank 3: C(1 + 3, 1) = 4 beats min(p, q) = 6;
-        # psd_rank_upper bounds m as given, whose canonical block is eye(3)
-        m = np.kron(np.eye(3), np.ones((2, 2)))
-        opts = BoundOptions(use_sqrt=False)
-        value, cert = bounds.psd_rank_upper(m, opts)
-        assert cert["kind"] == "barvinok"
-        assert value == 4
-        assert cert["distinct"] == 2
 
 
 class TestSqrtRank:
@@ -493,20 +484,51 @@ def test_interval_skips_ellipse_once_settled(monkeypatch):
         assert iv.certificates[1]["kind"] == "factorization-file"
 
 
-def test_barvinok_bound_narrows_the_4_cube():
-    # slack matrix of the 4-cube: vertices {0, 1}^4, facets x_i >= 0 and
-    # x_i <= 1. Rank 5 with 41 free sign bits, past the sign search budget,
-    # so only the distinct-entry bound C(1 + 5, 1) = 6 improves min(p, q) = 8
-    v = np.array(list(product((0.0, 1.0), repeat=4)))
-    iv = bounds.psd_rank_interval(np.hstack([v, 1.0 - v]))
-    assert (iv.lower, iv.upper) == (5, 6)
+def _cube_slack(d):
+    """Slack matrix of the d-cube: vertices {0, 1}^d, facets x_i >= 0 and x_i <= 1."""
+    v = np.array(list(product((0.0, 1.0), repeat=d)))
+    return np.hstack([v, 1.0 - v])
+
+
+def _cross_polytope_slack(d):
+    """Slack matrix of the d-cross-polytope: vertices +-e_i, facets s.x <= 1, s in {-1, 1}^d."""
+    s = np.array(list(product((-1.0, 1.0), repeat=d)))
+    return 1.0 - np.vstack([np.eye(d), -np.eye(d)]) @ s.T
+
+
+@pytest.mark.parametrize("m, rank", [
+    (_cube_slack(4), 5), (_cube_slack(4).T, 5), (_cross_polytope_slack(4), 5), (_cube_slack(5), 6),
+], ids=["4-cube", "4-cube transposed", "4-cross-polytope", "5-cube"])
+def test_two_level_polytopes_close_by_the_all_plus_root(m, rank):
+    # 2-level polytopes are psd-minimal: the all-plus root of the slack
+    # matrix has rank d + 1, which the lower bound already reaches; the sign
+    # search's budget (41 free bits for the 4-cube) is never consulted
+    iv = bounds.psd_rank_interval(m)
+    assert (iv.lower, iv.upper) == (rank, rank)
     up = iv.certificates[1]
-    assert (up["kind"], up["value"], up["distinct"]) == ("barvinok", 6, 2)
+    assert (up["kind"], up["argument"], up["value"]) == ("sqrt-rank", "all-plus root", rank)
+    f = factors.from_hadamard_sqrt(np.sqrt(m))
+    assert f.k == rank
+    assert factors.verify(m, f).passed
 
 
-def test_interval_runs_sign_search_while_open():
-    # the ellipse test lifts the lower end to 3; only the signed square
-    # root of rank 3 brings the upper end down from min(p, q) = 4
-    iv = bounds.psd_rank_interval(families.square_slack())
+def test_interval_runs_sign_search_while_open(monkeypatch):
+    # rank 4, so the lower end is 3, and the all-plus root has rank 4; only
+    # a signed root of rank 3 brings the upper end down, and the search
+    # tries no target at or above the all-plus root's rank
+    m = families.partition_matrix((1, 1, 2))
+    _, root_rank = bounds._all_plus_root(m, linalg.DEFAULT_TOL)
+    assert root_rank == 4
+    targets = []
+    first_root = bounds._first_root
+
+    def recording(base, free, r, tol):
+        targets.append(r)
+        return first_root(base, free, r, tol)
+
+    monkeypatch.setattr(bounds, "_first_root", recording)
+    iv = bounds.psd_rank_interval(m)
     assert (iv.lower, iv.upper) == (3, 3)
     assert iv.certificates[1]["kind"] == "sqrt-rank"
+    assert iv.certificates[1]["patterns"] >= 1
+    assert targets == [3]

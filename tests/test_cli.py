@@ -369,9 +369,14 @@ class TestTopLevel:
         ("verify", {"row_factors": 3, "col_factors": []}),
         ("verify", {"row_factors": [], "col_factors": 3}),
         ("cpsd-verify", {"factors": 3}),
+        # an integer too large for a float, in a row numpy reads whole (as
+        # an object array) and in a mixed row read entry by entry
+        ("bounds", {"rows": 1, "cols": 2, "data": [[10 ** 400, 1]]}),
+        ("bounds", {"rows": 1, "cols": 2, "data": [[[1, 0], 10 ** 400]]}),
     ], ids=["bounds-rows", "bounds-fraction", "extract-multiplier", "protocol-k",
             "extract-multipliers-number", "protocol-alice-number", "protocol-bob-number",
-            "verify-rows-number", "verify-cols-number", "cpsd-factors-number"])
+            "verify-rows-number", "verify-cols-number", "cpsd-factors-number",
+            "bounds-huge-int", "bounds-huge-int-mixed-row"])
     def test_malformed_number_in_file_is_input_error(self, tmp_path, capsys, command, doc):
         path = tmp_path / "in.json"
         formats.dump_json(doc, path)

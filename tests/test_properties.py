@@ -5,13 +5,17 @@ zero rows or copies of rows, leave the psd rank unchanged, so they must leave
 the lower bound and the certified interval unchanged as well. Direct sums and
 Kronecker products of nonzero matrices have psd rank at least that of each
 part and at most the sum (product) of the parts' ranks, and the block-diagonal
-and Kronecker factorizations built from the parts' factors verify.
+and Kronecker factorizations built from the parts' factors verify. On
+matrices with few distinct entries the upper bound stays within the
+interpolation count C(d - 1 + r, d - 1).
 """
+from math import comb
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psdrank import bounds, factors
+from psdrank import bounds, factors, linalg
 
 from conftest import random_factorization
 
@@ -24,6 +28,25 @@ def matrices(draw, max_side=5):
     q = draw(st.integers(1, max_side))
     entries = draw(st.lists(st.integers(0, 4), min_size=p * q, max_size=p * q))
     return np.array(entries, dtype=float).reshape(p, q)
+
+
+@st.composite
+def few_valued(draw, max_side=6):
+    """Nonnegative matrices whose entries take one to three distinct values."""
+    values = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 4.0]),
+                           min_size=1, max_size=3, unique=True))
+    p = draw(st.integers(1, max_side))
+    q = draw(st.integers(1, max_side))
+    entries = draw(st.lists(st.sampled_from(values), min_size=p * q, max_size=p * q))
+    return np.array(entries).reshape(p, q)
+
+
+def interpolation_count(m):
+    """C(d - 1 + r, d - 1) for d distinct entries and rank r. The polynomial
+    f of degree d - 1 with f(v) = sqrt(v) on those values writes the all-plus
+    root as sum_k c_k m^(hadamard k), so its rank is at most this count."""
+    d = np.unique(m).size
+    return comb(d - 1 + linalg.numerical_rank(m), d - 1)
 
 
 @st.composite
@@ -63,6 +86,18 @@ def test_interval_invariant(pair):
     m, changed = pair
     a, b = bounds.psd_rank_interval(m), bounds.psd_rank_interval(changed)
     assert (b.lower, b.upper) == (a.lower, a.upper)
+
+
+@PROPERTY
+@given(few_valued().filter(np.any))
+def test_upper_bound_within_min_size_and_interpolation_count(m):
+    iv = bounds.psd_rank_interval(m)
+    for upper in (bounds.psd_rank_upper(m)[0], iv.upper):
+        assert upper <= min(m.shape)
+        assert upper <= interpolation_count(m)
+    # the upper certificate never falls below the lower end, so the interval
+    # needs no clamp, and the lower end is at least the lower bound's
+    assert bounds.psd_rank_lower(m)[0] <= iv.lower <= iv.certificates[1]["value"]
 
 
 def block_diag(m, n):
