@@ -93,25 +93,21 @@ def _distinct_directions(a, tol):
 # lower bounds
 
 
-def psd_rank_lower(m, opts: BoundOptions | None = None, *, _kept=None):
+def psd_rank_lower(m, opts: BoundOptions | None = None):
     """(value, certificate): a proven lower bound on the psd rank.
 
     The certificate records which argument wins: the square-root-of-rank
     bound on a block, or a split of a block over its zero pattern into
     parts whose bounds add up. Every certificate names its block by the row
-    and column indices of m it keeps (see check_lower_certificate). The
+    and column indices of m it keeps (see check_lower_certificate); the
+    outermost one names the canonical block of m, so its rows and cols are
+    the lines left after dropping zero lines and positive multiples. The
     search stops early where no split can gain; past its budget the bound
     found so far comes back with "truncated": True.
-
-    _kept is private: psd_rank_interval passes an m already through
-    linalg.as_nonnegative with the (rows, cols) _canonical found for it, so
-    the canonical block is computed once per interval.
     """
     opts = opts or BoundOptions()
-    if _kept is None:
-        m = linalg.as_nonnegative(m, opts.tol)
-        _kept = _canonical(m, opts.tol)
-    rows, cols = _kept
+    m = linalg.as_nonnegative(m, opts.tol)
+    rows, cols = _canonical(m, opts.tol)
     if rows.size == 0:
         return 0, {"kind": "rank-bound", "rank": 0, "value": 0, "rows": [], "cols": []}
     search = _LowerSearch(m, opts.tol)
@@ -415,9 +411,14 @@ def sqrt_rank_exact(m, budget: int = SQRT_BUDGET, tol: float = DEFAULT_TOL) -> S
     2**(free bits) when the rank prunes early, and can exceed it when
     nothing prunes (derangement(6): 19 free bits, 559 104 prefixes). A
     witness rank below min(p, q) is recomputed in exact integer arithmetic
-    when every entry is an integer.
+    when every entry is an integer. A wide m (p < q) is searched as m.T, whose
+    shorter rows prune sooner; the free bits are the same either way, and the
+    witness comes back transposed to the shape of m.
     """
     mm = linalg.as_nonnegative(m, tol)
+    wide = mm.shape[0] < mm.shape[1]
+    if wide:
+        mm = mm.T
     base, value = _all_plus_root(mm, tol)
     free = np.array(_non_forest_edges(base > 0), dtype=int).reshape(-1, 2)
     if len(free) > budget:
@@ -432,7 +433,7 @@ def sqrt_rank_exact(m, budget: int = SQRT_BUDGET, tol: float = DEFAULT_TOL) -> S
             witness = _signed(base, free, flips)[0]
             value = _checked_rank(witness, rank)
             break
-    return SqrtRankResult(value, witness, searched)
+    return SqrtRankResult(value, witness.T if wide else witness, searched)
 
 
 # prefixes the sign search evaluates with one batched SVD
@@ -540,31 +541,24 @@ def psd_rank_interval(m, opts: BoundOptions | None = None) -> RankInterval:
     """Best certified bracket on the psd rank, exact through rank 3 regions.
 
     Works on the canonical block of m (no zero lines, no two lines positive
-    multiples of each other), which it also passes to the upper bounds.
-    After the lower bound and the cheap upper bounds, rank <= 2 settles the
-    psd rank as the rank. At rank 3, while the interval is still open below
-    3, the ellipse containment program settles whether it is 2; an undecided
-    program is recorded with answer None and its reason and leaves the
-    interval to the other bounds. The upper and ellipse certificates record
-    the rows and columns of m they were built from. The square-root rank
-    sign search runs only while the interval is still open.
+    multiples of each other), which the outermost lower certificate names
+    and which the upper bounds also see. The cheap upper bounds include
+    rank <= 2, which settles the psd rank as the rank. At rank 3, while the
+    interval is still open below 3, the ellipse containment program settles
+    whether it is 2; an undecided program is recorded with answer None and
+    its reason and leaves the interval to the other bounds. The upper and
+    ellipse certificates record the rows and columns of m they were built
+    from. The square-root rank sign search runs only while the interval is
+    still open.
     """
     opts = opts or BoundOptions()
     mm = linalg.as_nonnegative(m, opts.tol)
-    rows, cols = _canonical(mm, opts.tol)
-    if rows.size == 0:
-        return RankInterval(0, 0, ({"kind": "rank-bound", "rank": 0, "value": 0},))
-    block = mm[np.ix_(rows, cols)]
-
-    kept = {"rows": rows.tolist(), "cols": cols.tolist()}
-    lo, lo_cert = psd_rank_lower(mm, opts, _kept=(rows, cols))
+    lo, lo_cert = psd_rank_lower(mm, opts)
+    kept = {"rows": lo_cert["rows"], "cols": lo_cert["cols"]}
+    block = mm[np.ix_(kept["rows"], kept["cols"])]
     r = linalg.numerical_rank(block, opts.tol)
     up, up_cert = min(_cheap_upper_candidates(block, r, opts.tol), key=lambda t: t[0])
     certs = [lo_cert, {**up_cert, **kept}]
-
-    # rank <= 2 is exact; the cheap upper bound already carries that certificate
-    if r <= 2:
-        return RankInterval(int(r), int(r), tuple(certs))
 
     if r == 3 and lo < min(up, 3):
         try:

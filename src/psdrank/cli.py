@@ -13,7 +13,6 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,34 +23,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-
-
-@dataclass
-class RunConfig:
-    tol: float = linalg.DEFAULT_TOL
-    sqrt_budget: int = bounds.SQRT_BUDGET
-    seed: int | None = None
-
-    @classmethod
-    def from_env(cls) -> "RunConfig":
-        cfg = cls()
-        env = os.environ
-        if "PSDRANK_TOL" in env:
-            cfg.tol = _positive_float(env["PSDRANK_TOL"], "PSDRANK_TOL")
-        if "PSDRANK_SQRT_BUDGET" in env:
-            cfg.sqrt_budget = _positive_int(env["PSDRANK_SQRT_BUDGET"], "PSDRANK_SQRT_BUDGET")
-        if "PSDRANK_SEED" in env:
-            cfg.seed = _positive_int(env["PSDRANK_SEED"], "PSDRANK_SEED", allow_zero=True)
-        return cfg
-
-    def apply_flags(self, args) -> "RunConfig":
-        if getattr(args, "tol", None) is not None:
-            self.tol = _positive_float(args.tol, "--tol")
-        if getattr(args, "sqrt_budget", None) is not None:
-            self.sqrt_budget = _positive_int(args.sqrt_budget, "--sqrt-budget")
-        if getattr(args, "seed", None) is not None:
-            self.seed = _positive_int(args.seed, "--seed", allow_zero=True)
-        return self
 
 
 def _positive_float(text, name) -> float:
@@ -68,15 +39,43 @@ def _positive_int(text, name, allow_zero: bool = False) -> int:
     return v
 
 
+# (args attribute, environment variable, parser, default) of each global
+# setting; a flag wins over its variable, which wins over the default
+_SETTINGS = (
+    ("tol", "PSDRANK_TOL", _positive_float, linalg.DEFAULT_TOL),
+    ("sqrt_budget", "PSDRANK_SQRT_BUDGET", _positive_int, bounds.SQRT_BUDGET),
+    ("seed", "PSDRANK_SEED", functools.partial(_positive_int, allow_zero=True), None),
+)
+
+
+def _resolve_settings(args) -> None:
+    """Replace each global flag on args by its value; every setting given,
+    by flag or by environment variable, is parsed."""
+    for name, var, parse, value in _SETTINGS:
+        if var in os.environ:
+            value = parse(os.environ[var], var)
+        flag = getattr(args, name)
+        if flag is not None:
+            value = parse(flag, "--" + name.replace("_", "-"))
+        setattr(args, name, value)
+
+
+def _encode(obj):
+    """json.dumps hook: the one non-JSON value a certificate holds is an Ellipse."""
+    if isinstance(obj, geometry.Ellipse):
+        return formats.encode_ellipse(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    print(json.dumps(obj, indent=2, default=_encode))
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_gen(args, cfg) -> int:
+def _cmd_gen(args) -> int:
     m = families.generate(args.family, [linalg.as_float(p, "parameter") for p in args.params])
     doc = formats.encode_matrix(m)
     if args.output:
@@ -86,36 +85,20 @@ def _cmd_gen(args, cfg) -> int:
     return EXIT_PASS
 
 
-def _cmd_bounds(args, cfg) -> int:
+def _cmd_bounds(args) -> int:
     m = formats.load_matrix(args.matrix)
-    opts = bounds.BoundOptions(tol=cfg.tol, sqrt_budget=cfg.sqrt_budget)
+    opts = bounds.BoundOptions(tol=args.tol, sqrt_budget=args.sqrt_budget)
     interval = bounds.psd_rank_interval(m, opts)
     _emit({
         "lower": interval.lower,
         "upper": interval.upper,
         "exact": interval.exact,
-        "certificates": [_jsonable_cert(c) for c in interval.certificates],
+        "certificates": interval.certificates,
     })
     return EXIT_PASS
 
 
-def _jsonable_cert(cert):
-    if cert is None:
-        return None
-    out = {}
-    for key, val in cert.items():
-        if isinstance(val, geometry.Ellipse):
-            out[key] = formats.encode_ellipse(val)
-        elif isinstance(val, dict):
-            out[key] = _jsonable_cert(val)
-        elif isinstance(val, (list, tuple)):
-            out[key] = [_jsonable_cert(v) if isinstance(v, dict) else v for v in val]
-        else:
-            out[key] = val
-    return out
-
-
-def _cmd_rank2(args, cfg) -> int:
+def _cmd_rank2(args) -> int:
     m = formats.load_matrix(args.matrix)
     answer, ellipse = geometry.decide_psd_rank_le_2(m)
     if ellipse is not None:
@@ -125,10 +108,10 @@ def _cmd_rank2(args, cfg) -> int:
     return EXIT_PASS if answer else EXIT_FAIL
 
 
-def _cmd_extract_fact(args, cfg) -> int:
+def _cmd_extract_fact(args) -> int:
     m = formats.load_matrix(args.matrix)
     ellipse = formats.decode_ellipse(formats.load_json(args.ellipse))
-    pair = geometry.polytopes_from_matrix(m, tol=cfg.tol)
+    pair = geometry.polytopes_from_matrix(m)
     f = geometry.factorization_from_ellipse(m, pair, ellipse)
     formats.dump_json(formats.encode_factorization(f), args.output)
     report = factors.verify(m, f, tol=1e-7)
@@ -136,10 +119,10 @@ def _cmd_extract_fact(args, cfg) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def _cmd_verify(args, cfg) -> int:
+def _cmd_verify(args) -> int:
     m = formats.load_matrix(args.matrix)
     f = formats.decode_factorization(formats.load_json(args.factorization))
-    report = factors.verify(m, f, tol=cfg.tol)
+    report = factors.verify(m, f, tol=args.tol)
     _emit({
         "passed": report.passed,
         "max_residual": report.max_residual,
@@ -150,9 +133,9 @@ def _cmd_verify(args, cfg) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def _cmd_sqrt_rank(args, cfg) -> int:
+def _cmd_sqrt_rank(args) -> int:
     m = formats.load_matrix(args.matrix)
-    res = bounds.sqrt_rank_exact(m, budget=cfg.sqrt_budget, tol=cfg.tol)
+    res = bounds.sqrt_rank_exact(m, budget=args.sqrt_budget, tol=args.tol)
     doc = {"value": res.value, "patterns_searched": res.patterns_searched,
            "witness": formats.encode_matrix(res.witness)}
     if args.output:
@@ -161,29 +144,29 @@ def _cmd_sqrt_rank(args, cfg) -> int:
     return EXIT_PASS
 
 
-def _cmd_rescale(args, cfg) -> int:
+def _cmd_rescale(args) -> int:
     m = formats.load_matrix(args.matrix)
     f = formats.decode_factorization(formats.load_json(args.factorization))
     if args.mode == "trace":
-        out = factors.rescale_trace(f, m, tol=cfg.tol)
+        out = factors.rescale_trace(f, m, tol=args.tol)
     else:
-        out = factors.rescale_john(f, m, tol=cfg.tol)
+        out = factors.rescale_john(f, m, tol=args.tol)
     formats.dump_json(formats.encode_factorization(out), args.output)
     _emit({"written": args.output, "mode": args.mode, "k": out.k})
     return EXIT_PASS
 
 
-def _cmd_quantum(args, cfg) -> int:
+def _cmd_quantum(args) -> int:
     if args.action == "to-protocol":
         f = formats.decode_factorization(formats.load_json(args.factorization))
         m = formats.load_matrix(args.matrix)
-        pr = quantum.to_protocol(f, m, tol=cfg.tol)
+        pr = quantum.to_protocol(f, m, tol=args.tol)
         formats.dump_json(formats.encode_protocol(pr), args.output)
         _emit({"written": args.output, "k": pr.k, "qubits": pr.qubits})
         return EXIT_PASS
     if args.action == "from-protocol":
         pr = formats.decode_protocol(formats.load_json(args.protocol))
-        f = quantum.from_protocol(pr, tol=cfg.tol)
+        f = quantum.from_protocol(pr, tol=args.tol)
         formats.dump_json(formats.encode_factorization(f), args.output)
         _emit({"written": args.output, "k": f.k})
         return EXIT_PASS
@@ -200,7 +183,7 @@ def _cmd_quantum(args, cfg) -> int:
         })
         return EXIT_PASS if report.passed else EXIT_FAIL
     pr = formats.decode_protocol(formats.load_json(args.protocol))
-    table = quantum.sample(pr, args.count, seed=cfg.seed)
+    table = quantum.sample(pr, args.count, seed=args.seed)
     doc = {"counts": [[int(x) for x in row] for row in table], "total": int(table.sum())}
     if args.output:
         formats.dump_json(doc, args.output)
@@ -208,18 +191,18 @@ def _cmd_quantum(args, cfg) -> int:
     return EXIT_PASS
 
 
-def _cmd_cpsd(args, cfg) -> int:
+def _cmd_cpsd(args) -> int:
     m = formats.load_matrix(args.matrix)
     if args.action == "verify":
         g = formats.decode_gram(formats.load_json(args.gram))
-        report = cpsd.verify_cpsd(m, g, tol=cfg.tol)
+        report = cpsd.verify_cpsd(m, g, tol=args.tol)
         _emit({"passed": report.passed, "max_residual": report.max_residual})
         return EXIT_PASS if report.passed else EXIT_FAIL
     if args.action == "horn":
         value = cpsd.horn_certificate(m)
         _emit({"value": value, "excludes_cpsd": value < 0})
         return EXIT_PASS if value < 0 else EXIT_FAIL
-    ok = cpsd.dnn_check(m, tol=cfg.tol)
+    ok = cpsd.dnn_check(m, tol=args.tol)
     _emit({"doubly_nonnegative": bool(ok)})
     return EXIT_PASS if ok else EXIT_FAIL
 
@@ -233,7 +216,7 @@ _REGIONS = {
 }
 
 
-def _cmd_region(args, cfg) -> int:
+def _cmd_region(args) -> int:
     grid = args.grid
     if grid < 1:
         raise InputError(f"--grid must be at least 1, got {grid}")
@@ -363,8 +346,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
-        cfg = RunConfig.from_env().apply_flags(args)
-        code = args.fn(args, cfg)
+        _resolve_settings(args)
+        code = args.fn(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -345,7 +345,7 @@ class Rank1Expansion:
     sqrt_witness: np.ndarray
 
 
-def rank1_expand(f: PsdFactorization, tol: float = DEFAULT_TOL) -> Rank1Expansion:
+def rank1_expand(f: PsdFactorization) -> Rank1Expansion:
     """Blow M up to a pk x qk matrix admitting a rank-one factorization.
 
     Each factor is split into k spectral rank-one pieces (padded with zeros);
@@ -437,21 +437,6 @@ def scale_rows(f: PsdFactorization, scales) -> PsdFactorization:
     if np.any(s < 0):
         raise InputError("row scales must be nonnegative")
     return PsdFactorization(f.field, s[:, None, None] * f.row_factors, f.col_factors)
-
-
-def scale_cols(f: PsdFactorization, scales) -> PsdFactorization:
-    """Factorization of M @ diag(scales) via scaled column factors."""
-    s = np.asarray(scales, dtype=float)
-    if s.ndim != 1 or s.size != len(f.col_factors):
-        raise InputError("need one nonnegative scale per column")
-    if np.any(s < 0):
-        raise InputError("column scales must be nonnegative")
-    return PsdFactorization(f.field, f.row_factors, s[:, None, None] * f.col_factors)
-
-
-def transpose(f: PsdFactorization) -> PsdFactorization:
-    """Factorization of M^T (swap row and column factors)."""
-    return PsdFactorization(f.field, f.col_factors, f.row_factors)
 
 
 def _require_same_field(f: PsdFactorization, g: PsdFactorization) -> str:

@@ -138,10 +138,6 @@ def decode_protocol(obj):
     return quantum.CorrelationProtocol(k, alice, bob, rho)
 
 
-def encode_gram(g) -> dict:
-    return {"k": g.k, "factors": [encode_matrix(a) for a in g.factors]}
-
-
 def decode_gram(obj):
     if not isinstance(obj, dict) or "factors" not in obj:
         raise InputError("gram: expected key factors")
@@ -165,7 +161,3 @@ def dump_json(obj, path) -> None:
 
 def load_matrix(path) -> np.ndarray:
     return decode_matrix(load_json(path), where=str(path))
-
-
-def save_matrix(m, path) -> None:
-    dump_json(encode_matrix(m), path)

@@ -186,6 +186,14 @@ class TestSqrtRank:
         res = bounds.sqrt_rank_exact(np.zeros((2, 3)))
         assert res.value == 0
 
+    def test_wide_matrix_is_searched_as_its_transpose(self):
+        m = np.round(np.random.default_rng(11).uniform(0.5, 3.0, (4, 6)), 1)
+        wide, tall = bounds.sqrt_rank_exact(m), bounds.sqrt_rank_exact(m.T)
+        assert (wide.value, wide.patterns_searched) == (tall.value, tall.patterns_searched)
+        assert np.array_equal(wide.witness, tall.witness.T)
+        assert np.max(np.abs(wide.witness ** 2 - m)) <= 1e-12
+        assert linalg.numerical_rank(wide.witness) == wide.value
+
 
 class TestInterval:
     def test_boundary_circulant_exact_two(self):
@@ -208,6 +216,14 @@ class TestInterval:
     def test_zero_matrix(self):
         iv = bounds.psd_rank_interval(np.zeros((2, 2)))
         assert (iv.lower, iv.upper) == (0, 0)
+
+    def test_zero_input_has_a_lower_and_an_upper_certificate(self):
+        m = np.zeros((2, 3))
+        iv = bounds.psd_rank_interval(m)
+        assert (iv.lower, iv.upper) == (0, 0)
+        lower, upper = iv.certificates
+        assert (lower["value"], upper["value"]) == (0, 0)
+        assert bounds.check_lower_certificate(m, lower)
 
     def test_rank_two_is_exact_without_solver(self, monkeypatch):
         def no_ellipse(m):

@@ -13,7 +13,7 @@ from psdrank.errors import NumericalFailure
 
 def write_matrix(tmp_path, m, name="m.json"):
     path = tmp_path / name
-    formats.save_matrix(m, path)
+    formats.dump_json(formats.encode_matrix(m), path)
     return str(path)
 
 
@@ -125,6 +125,19 @@ class TestRank2AndExtract:
         assert code == 0 and doc["psd_rank_le_2"] is True
         code, _ = run(capsys, ["extract-fact", mpath, epath, "-o", fpath])
         assert code == 0
+        code, doc = run(capsys, ["verify", mpath, fpath])
+        assert code == 0 and doc["passed"] is True
+
+    def test_extract_builds_the_pair_rank2_built_whatever_the_tol(self, tmp_path, capsys):
+        # rank2 reads no --tol, so extract-fact rebuilds its pair at the
+        # default tolerance too; at 0.05 the pair would be a different one
+        m = families.circulant3(1.0, 1.5, 1.2)
+        mpath = write_matrix(tmp_path, m)
+        epath, fpath = str(tmp_path / "ellipse.json"), str(tmp_path / "fact.json")
+        code, _ = run(capsys, ["--tol", "0.05", "rank2", mpath, "-o", epath])
+        assert code == 0
+        code, doc = run(capsys, ["--tol", "0.05", "extract-fact", mpath, epath, "-o", fpath])
+        assert code == 0 and doc["max_residual"] <= 1e-7
         code, doc = run(capsys, ["verify", mpath, fpath])
         assert code == 0 and doc["passed"] is True
 
